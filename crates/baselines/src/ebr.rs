@@ -177,8 +177,12 @@ impl<T: Send + 'static> ClassicEbrThread<T> {
             reclaimed += block.len() as u64;
             sink.accept_block(block);
         }
+        if reclaimed == 0 {
+            // Nothing left the bags: the counters and the limbo gauge already hold.
+            return;
+        }
         let stats = &self.global.stats[self.tid];
-        stats.reclaimed.fetch_add(reclaimed, Ordering::Relaxed);
+        ThreadStatsSlot::bump(&stats.reclaimed, reclaimed);
         stats.publish_limbo(
             self.bags.iter().map(BlockBag::len).sum::<usize>() as u64,
             std::mem::size_of::<T>() as u64,
@@ -197,9 +201,8 @@ impl<T: Send + 'static> ReclaimerThread<T> for ClassicEbrThread<T> {
 
     fn leave_qstate<S: ReclaimSink<T>>(&mut self, sink: &mut S) -> bool {
         self.quiescent = false;
-        let global = Arc::clone(&self.global);
-        let epoch = global.epoch.load(Ordering::SeqCst);
-        global.announce[self.tid].store(epoch, Ordering::SeqCst);
+        let epoch = self.global.epoch.load(Ordering::SeqCst);
+        self.global.announce[self.tid].store(epoch, Ordering::SeqCst);
 
         let mut rotated = false;
         if self.last_seen_epoch != Some(epoch) {
@@ -208,6 +211,8 @@ impl<T: Send + 'static> ReclaimerThread<T> for ClassicEbrThread<T> {
             rotated = true;
         }
 
+        let global: &ClassicEbr<T> = &self.global;
+        let stats = &global.stats[self.tid];
         // Classic EBR: scan *every* announcement on every operation.
         let all_announced = global.announce.iter().all(|a| {
             let v = a.load(Ordering::SeqCst);
@@ -219,14 +224,14 @@ impl<T: Send + 'static> ReclaimerThread<T> for ClassicEbrThread<T> {
                 .compare_exchange(epoch, epoch + 1, Ordering::SeqCst, Ordering::SeqCst)
                 .is_ok()
             {
-                global.stats[self.tid].epochs_advanced.fetch_add(1, Ordering::Relaxed);
+                ThreadStatsSlot::bump(&stats.epochs_advanced, 1);
             }
         } else {
             // Classic EBR's weakness: one thread parked on an old announcement (even
             // between operations — see `enter_qstate`) stalls everyone's epoch.
-            global.stats[self.tid].epoch_stalls.fetch_add(1, Ordering::Relaxed);
+            ThreadStatsSlot::bump(&stats.epoch_stalls, 1);
         }
-        global.stats[self.tid].operations.fetch_add(1, Ordering::Relaxed);
+        ThreadStatsSlot::bump(&stats.operations, 1);
         rotated
     }
 
@@ -243,7 +248,7 @@ impl<T: Send + 'static> ReclaimerThread<T> for ClassicEbrThread<T> {
     unsafe fn retire<S: ReclaimSink<T>>(&mut self, record: NonNull<T>, _sink: &mut S) {
         self.bags[self.current].push(record);
         let stats = &self.global.stats[self.tid];
-        stats.retired.fetch_add(1, Ordering::Relaxed);
+        ThreadStatsSlot::bump(&stats.retired, 1);
         stats.publish_limbo(
             self.bags.iter().map(BlockBag::len).sum::<usize>() as u64,
             std::mem::size_of::<T>() as u64,
@@ -310,6 +315,32 @@ mod tests {
         let stats = ebr.stats();
         assert_eq!(stats.retired, 100);
         assert!(stats.epochs_advanced > 0);
+        drop(t);
+        for r in ebr.drain_orphans() {
+            unsafe { drop(Box::from_raw(r.as_ptr())) };
+        }
+    }
+
+    #[test]
+    fn rotations_that_free_nothing_keep_the_limbo_gauge() {
+        // One thread rotates on every pin; with no full block nothing is ever handed over,
+        // and the gauges published by the retires must still read right.
+        let ebr: Arc<ClassicEbr<u64>> = Arc::new(ClassicEbr::new(1));
+        let mut t = ClassicEbr::register(&ebr, 0).unwrap();
+        let mut sink = CountingSink::default();
+        for i in 0..3u64 {
+            let _ = t.leave_qstate(&mut sink);
+            unsafe { t.retire(leak(i), &mut sink) };
+            t.enter_qstate();
+        }
+        for _ in 0..100 {
+            assert!(t.leave_qstate(&mut sink), "a lone thread advances and rotates every pin");
+            t.enter_qstate();
+        }
+        let stats = ebr.stats();
+        assert_eq!(sink.accepted, 0);
+        assert_eq!((stats.retired, stats.reclaimed, stats.pending), (3, 0, 3));
+        assert_eq!(stats.limbo_bytes, 3 * std::mem::size_of::<u64>() as u64);
         drop(t);
         for r in ebr.drain_orphans() {
             unsafe { drop(Box::from_raw(r.as_ptr())) };

@@ -143,6 +143,11 @@ impl<T> BlockBag<T> {
     /// This is the paper's `moveFullBlocks` operation: O(1) work per block moved, and the
     /// records inside the moved blocks are not touched.
     pub fn take_full_blocks(&mut self) -> Vec<Box<Block<T>>> {
+        if !self.blocks.iter().any(|b| b.is_full()) {
+            // Nothing to move (the common rotation of a bag that holds only a partial
+            // head): leave the block list alone instead of rebuilding it.
+            return Vec::new();
+        }
         let mut taken = Vec::new();
         let mut kept = Vec::with_capacity(1);
         for block in self.blocks.drain(..) {
@@ -407,6 +412,21 @@ mod tests {
         // The bag must still be usable.
         bag.push(ptr(100));
         assert_eq!(bag.len(), 1);
+    }
+
+    #[test]
+    fn take_full_blocks_without_a_full_block_leaves_the_bag_untouched() {
+        let mut bag: BlockBag<u64> = BlockBag::with_block_capacity(4);
+        assert!(bag.take_full_blocks().is_empty());
+        for i in 0..3 {
+            bag.push(ptr(i));
+        }
+        let head = &*bag.blocks[0] as *const Block<u64>;
+        let blocks_buffer = bag.blocks.as_ptr();
+        assert!(bag.take_full_blocks().is_empty());
+        assert_eq!(bag.len(), 3);
+        assert!(std::ptr::eq(&*bag.blocks[0], head), "the head block stays in place");
+        assert_eq!(bag.blocks.as_ptr(), blocks_buffer, "the block list is not rebuilt");
     }
 
     #[test]

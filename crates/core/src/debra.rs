@@ -5,7 +5,7 @@ use std::ptr::NonNull;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-use blockbag::BlockBag;
+use blockbag::{Block, BlockBag};
 use crossbeam_utils::CachePadded;
 use neutralize::{AnnounceWord, NeutralizeSlot};
 
@@ -69,8 +69,9 @@ impl<T: Send> Debra<T> {
         &self.slots[tid]
     }
 
-    /// A clonable handle to the announcement slot for `tid` (used by DEBRA+ to register the
-    /// owning thread with the signal driver).
+    /// A clonable handle to the announcement slot for `tid` (cached by the thread's handle
+    /// at registration, and used by DEBRA+ to register the owning thread with the signal
+    /// driver).
     pub(crate) fn slot_arc(&self, tid: usize) -> Arc<NeutralizeSlot> {
         Arc::clone(&self.slots[tid])
     }
@@ -160,49 +161,43 @@ impl<T> fmt::Debug for Debra<T> {
 unsafe impl<T: Send> Send for Debra<T> {}
 unsafe impl<T: Send> Sync for Debra<T> {}
 
-/// Per-thread handle of [`Debra`].
-pub struct DebraThread<T: Send + 'static> {
-    global: Arc<Debra<T>>,
-    tid: usize,
+/// The three limbo bags of one thread (the paper's `bags[0..2]` and `index`).
+///
+/// Kept apart from the rest of [`DebraThread`] so that the rotation and suspicion hooks of
+/// [`leave_qstate_impl`](DebraThread::leave_qstate_impl) can borrow the bags mutably while
+/// the shared state stays borrowed — no `Arc` clone on the per-operation path.
+pub(crate) struct LimboBags<T> {
     bags: [BlockBag<T>; 3],
     /// Index (into `bags`) of the limbo bag for the current epoch.
     current: usize,
-    /// Next thread whose announcement should be checked.
-    check_next: usize,
-    /// Number of `leave_qstate` calls since another thread's announcement was last checked.
-    ops_since_check: usize,
 }
 
-impl<T: Send + 'static> DebraThread<T> {
-    pub(crate) fn new(global: Arc<Debra<T>>, tid: usize) -> Self {
-        let cap = global.config.block_capacity;
-        DebraThread {
-            global,
-            tid,
-            bags: [
-                BlockBag::with_block_capacity(cap),
-                BlockBag::with_block_capacity(cap),
-                BlockBag::with_block_capacity(cap),
-            ],
+impl<T> LimboBags<T> {
+    fn new(block_capacity: usize) -> Self {
+        LimboBags {
+            bags: std::array::from_fn(|_| BlockBag::with_block_capacity(block_capacity)),
             current: 0,
-            check_next: 0,
-            ops_since_check: 0,
         }
     }
 
-    /// The shared DEBRA instance this handle belongs to.
-    pub fn global(&self) -> &Arc<Debra<T>> {
-        &self.global
+    /// Adds a retired record to the limbo bag of the current epoch.
+    fn push(&mut self, record: NonNull<T>) {
+        self.bags[self.current].push(record);
     }
 
-    /// Total number of records currently waiting in this thread's limbo bags.
-    pub fn limbo_len(&self) -> usize {
+    fn len(&self) -> usize {
         self.bags.iter().map(BlockBag::len).sum()
     }
 
-    /// Number of blocks in the limbo bag of the current epoch (used by DEBRA+'s
-    /// neutralization heuristic and exposed for tests).
-    pub fn current_bag_blocks(&self) -> usize {
+    /// Publishes the limbo population; called wherever it changes (retire, a rotation that
+    /// reclaimed, orphaning), never on a plain pin.
+    fn publish(&self, stats: &ThreadStatsSlot) {
+        stats.publish_limbo(self.len() as u64, std::mem::size_of::<T>() as u64);
+    }
+
+    /// Number of blocks in the limbo bag of the current epoch (DEBRA+'s neutralization
+    /// heuristic).
+    pub(crate) fn current_bag_blocks(&self) -> usize {
         self.bags[self.current].size_in_blocks()
     }
 
@@ -213,54 +208,92 @@ impl<T: Send + 'static> DebraThread<T> {
         self.bags[(self.current + 1) % 3].size_in_blocks()
     }
 
-    fn publish_pending(&self) {
-        let pending = self.limbo_len() as u64;
-        self.global.stats[self.tid].publish_limbo(pending, std::mem::size_of::<T>() as u64);
+    /// Makes the oldest limbo bag the current one without freeing anything.
+    pub(crate) fn rotate(&mut self) -> &mut BlockBag<T> {
+        self.current = (self.current + 1) % 3;
+        &mut self.bags[self.current]
     }
 
     /// Rotates the limbo bags and reclaims the records retired two epochs ago
-    /// (the paper's `rotateAndReclaim`).
-    fn rotate_and_reclaim<S: ReclaimSink<T>>(&mut self, sink: &mut S) {
-        self.current = (self.current + 1) % 3;
-        let bag = &mut self.bags[self.current];
-        let mut reclaimed = 0u64;
-        for block in bag.take_full_blocks() {
-            reclaimed += block.len() as u64;
-            sink.accept_block(block);
-        }
-        if reclaimed > 0 {
-            self.global.stats[self.tid].reclaimed.fetch_add(reclaimed, Ordering::Relaxed);
-        }
+    /// (the paper's `rotateAndReclaim`).  Returns the number of records handed to `sink`.
+    pub(crate) fn rotate_and_reclaim<S: ReclaimSink<T>>(&mut self, sink: &mut S) -> u64 {
+        hand_over(self.rotate().take_full_blocks(), sink)
     }
 
-    /// DEBRA+'s variant of `rotateAndReclaim` (paper, Figure 6): the oldest limbo bag is
-    /// reused as the new current bag, and — only if it holds at least
-    /// `scan_threshold_blocks` blocks, so the scan is amortized O(1) per record — its
-    /// records are partitioned so that records for which `keep` returns `true` (those
-    /// protected by restricted hazard pointers) stay in the bag while whole blocks of
-    /// unprotected records are moved to the sink.
+    /// DEBRA+'s variant of `rotateAndReclaim` (paper, Figure 6) for a non-empty set of
+    /// restricted hazard pointers: records for which `keep` returns `true` stay in the
+    /// bag while whole blocks of unprotected records are moved to the sink.  With a `keep`
+    /// that is never `true` this hands over exactly the blocks
+    /// [`rotate_and_reclaim`](Self::rotate_and_reclaim) does.
     pub(crate) fn rotate_and_reclaim_filtered<S: ReclaimSink<T>>(
         &mut self,
         sink: &mut S,
-        scan_threshold_blocks: usize,
         keep: impl FnMut(NonNull<T>) -> bool,
-    ) {
-        self.current = (self.current + 1) % 3;
-        let bag = &mut self.bags[self.current];
-        if bag.size_in_blocks() < scan_threshold_blocks {
-            return;
-        }
-        let mut reclaimed = 0u64;
-        for block in bag.partition_and_take_full_blocks(keep) {
-            reclaimed += block.len() as u64;
-            sink.accept_block(block);
-        }
-        if reclaimed > 0 {
-            self.global.stats[self.tid].reclaimed.fetch_add(reclaimed, Ordering::Relaxed);
-        }
+    ) -> u64 {
+        hand_over(self.rotate().partition_and_take_full_blocks(keep), sink)
+    }
+}
+
+/// Moves whole blocks of reclaimable records to the sink; returns how many records moved.
+fn hand_over<T, S: ReclaimSink<T>>(
+    blocks: impl IntoIterator<Item = Box<Block<T>>>,
+    sink: &mut S,
+) -> u64 {
+    let mut reclaimed = 0u64;
+    for block in blocks {
+        reclaimed += block.len() as u64;
+        sink.accept_block(block);
+    }
+    reclaimed
+}
+
+/// Per-thread handle of [`Debra`].
+pub struct DebraThread<T: Send + 'static> {
+    global: Arc<Debra<T>>,
+    /// This thread's own announcement slot (`global.slots[tid]`), cached at registration:
+    /// every pin, unpin and DEBRA+ checkpoint reaches it in one load.
+    slot: Arc<NeutralizeSlot>,
+    tid: usize,
+    limbo: LimboBags<T>,
+    /// Number of announcements seen equal-or-quiescent in the current epoch; the next
+    /// thread to check while it is below `max_threads`.
+    check_next: usize,
+    /// Number of `leave_qstate` calls since another thread's announcement was last checked.
+    ops_since_check: usize,
+}
+
+impl<T: Send + 'static> DebraThread<T> {
+    pub(crate) fn new(global: Arc<Debra<T>>, tid: usize) -> Self {
+        let limbo = LimboBags::new(global.config.block_capacity);
+        let slot = global.slot_arc(tid);
+        DebraThread { global, slot, tid, limbo, check_next: 0, ops_since_check: 0 }
+    }
+
+    /// The shared DEBRA instance this handle belongs to.
+    pub fn global(&self) -> &Arc<Debra<T>> {
+        &self.global
+    }
+
+    /// This thread's own announcement slot.
+    pub(crate) fn slot(&self) -> &NeutralizeSlot {
+        &self.slot
+    }
+
+    /// Total number of records currently waiting in this thread's limbo bags.
+    pub fn limbo_len(&self) -> usize {
+        self.limbo.len()
+    }
+
+    /// Number of blocks in the limbo bag of the current epoch (used by DEBRA+'s
+    /// neutralization heuristic and exposed for tests).
+    pub fn current_bag_blocks(&self) -> usize {
+        self.limbo.current_bag_blocks()
     }
 
     /// Core of `leave_qstate`, shared between DEBRA and DEBRA+.
+    ///
+    /// `rotate` is called when this thread announces a new epoch; it rotates the limbo
+    /// bags and returns how many records it handed to the sink.
     ///
     /// `suspect` is called for a thread that is non-quiescent and has not announced the
     /// current epoch; it returns `true` if the thread may nevertheless be treated as
@@ -273,42 +306,50 @@ impl<T: Send + 'static> DebraThread<T> {
     ) -> bool
     where
         S: ReclaimSink<T>,
-        F: FnMut(&mut Self, usize) -> bool,
-        R: FnMut(&mut Self, &mut S),
+        F: FnMut(&LimboBags<T>, usize) -> bool,
+        R: FnMut(&mut LimboBags<T>, &mut S) -> u64,
     {
-        let global = Arc::clone(&self.global);
+        let DebraThread { global, slot, tid, limbo, check_next, ops_since_check } = self;
+        let global: &Debra<T> = global;
+        let tid = *tid;
+        let stats = &global.stats[tid];
         let n = global.max_threads;
-        let config = global.config;
+        let config = &global.config;
         let read_epoch = global.epoch.load(Ordering::SeqCst);
-        let my_announce = global.slots[self.tid].load_announce(Ordering::SeqCst);
+        let my_announce = slot.load_announce(Ordering::SeqCst);
 
         let mut result = false;
         if !AnnounceWord::epoch_matches(read_epoch, my_announce) {
             // We are announcing a new epoch: everything retired two epochs ago is safe.
-            self.ops_since_check = 0;
-            self.check_next = 0;
-            rotate(self, sink);
+            *ops_since_check = 0;
+            *check_next = 0;
+            let reclaimed = rotate(limbo, sink);
+            if reclaimed > 0 {
+                ThreadStatsSlot::bump(&stats.reclaimed, reclaimed);
+                limbo.publish(stats);
+            }
             result = true;
         }
 
         // Incrementally scan announcements: one (or fewer) per leave_qstate call.
-        self.ops_since_check += 1;
-        if self.ops_since_check >= config.check_threshold {
-            self.ops_since_check = 0;
-            let other = self.check_next % n;
-            let other_word = global.slots[other].load_announce(Ordering::SeqCst);
-            let other_ok = other == self.tid
-                || AnnounceWord::epoch_matches(read_epoch, other_word)
-                || AnnounceWord::is_quiescent(other_word)
-                || suspect(self, other);
-            if !other_ok {
-                // A non-quiescent thread still on the old epoch blocks the advance —
-                // the oversubscription stall of the paper's Figure 9.
-                self.global.stats[self.tid].epoch_stalls.fetch_add(1, Ordering::Relaxed);
-            }
+        *ops_since_check += 1;
+        if *ops_since_check >= config.check_threshold {
+            *ops_since_check = 0;
+            // Once `check_next` reaches `n`, every announcement has been seen equal to
+            // `read_epoch` or quiescent since this thread announced it — all Figure 5's
+            // argument needs, and it stays true until the epoch changes (a thread can only
+            // announce this epoch or a later one).  The pins left until
+            // `increment_threshold` therefore only count; they touch no peer's line.
+            let other = *check_next;
+            let other_ok = other >= n || other == tid || {
+                let other_word = global.slots[other].load_announce(Ordering::SeqCst);
+                AnnounceWord::epoch_matches(read_epoch, other_word)
+                    || AnnounceWord::is_quiescent(other_word)
+                    || suspect(limbo, other)
+            };
             if other_ok {
-                self.check_next += 1;
-                let c = self.check_next;
+                *check_next += 1;
+                let c = *check_next;
                 if c >= n && c >= config.increment_threshold {
                     if global
                         .epoch
@@ -320,20 +361,23 @@ impl<T: Send + 'static> DebraThread<T> {
                         )
                         .is_ok()
                     {
-                        self.global.stats[self.tid].epochs_advanced.fetch_add(1, Ordering::Relaxed);
+                        ThreadStatsSlot::bump(&stats.epochs_advanced, 1);
                     }
-                    self.check_next = 0;
+                    *check_next = 0;
                 }
+            } else {
+                // A non-quiescent thread still on the old epoch blocks the advance —
+                // the oversubscription stall of the paper's Figure 9.
+                ThreadStatsSlot::bump(&stats.epoch_stalls, 1);
             }
         }
 
         // Announce the epoch we read, with the quiescent bit cleared.
-        global.slots[self.tid].store_announce(
+        slot.store_announce(
             AnnounceWord::pack(AnnounceWord::epoch(read_epoch), false),
             Ordering::SeqCst,
         );
-        self.global.stats[self.tid].operations.fetch_add(1, Ordering::Relaxed);
-        self.publish_pending();
+        ThreadStatsSlot::bump(&stats.operations, 1);
         result
     }
 
@@ -342,26 +386,27 @@ impl<T: Send + 'static> DebraThread<T> {
         // under DEBRA+ a neutralization signal sets the quiescent bit *mid-operation*, and a
         // thread whose decision CAS already succeeded legitimately retires records while its
         // announcement reads quiescent (the completion phase of a decided operation).
-        self.bags[self.current].push(record);
-        self.global.stats[self.tid].retired.fetch_add(1, Ordering::Relaxed);
-        self.publish_pending();
+        self.limbo.push(record);
+        let stats = &self.global.stats[self.tid];
+        ThreadStatsSlot::bump(&stats.retired, 1);
+        self.limbo.publish(stats);
     }
 
     pub(crate) fn enter_qstate_impl(&mut self) {
-        self.global.slots[self.tid].set_quiescent();
+        self.slot.set_quiescent();
     }
 
     pub(crate) fn is_quiescent_impl(&self) -> bool {
-        self.global.slots[self.tid].is_quiescent()
+        self.slot.is_quiescent()
     }
 
     pub(crate) fn orphan_bags(&mut self) {
         let records: Vec<NonNull<T>> =
-            self.bags.iter_mut().flat_map(|bag| bag.drain().collect::<Vec<_>>()).collect();
+            self.limbo.bags.iter_mut().flat_map(|bag| bag.drain().collect::<Vec<_>>()).collect();
         if !records.is_empty() {
             self.global.push_orphans(records);
         }
-        self.publish_pending();
+        self.limbo.publish(&self.global.stats[self.tid]);
     }
 }
 
@@ -375,7 +420,7 @@ impl<T: Send + 'static> ReclaimerThread<T> for DebraThread<T> {
     }
 
     fn leave_qstate<S: ReclaimSink<T>>(&mut self, sink: &mut S) -> bool {
-        self.leave_qstate_impl(sink, |this, sink| this.rotate_and_reclaim(sink), |_, _| false)
+        self.leave_qstate_impl(sink, LimboBags::rotate_and_reclaim, |_, _| false)
     }
 
     fn enter_qstate(&mut self) {
@@ -409,7 +454,7 @@ impl<T: Send + 'static> fmt::Debug for DebraThread<T> {
         f.debug_struct("DebraThread")
             .field("tid", &self.tid)
             .field("limbo_len", &self.limbo_len())
-            .field("current", &self.current)
+            .field("current", &self.limbo.current)
             .finish()
     }
 }
@@ -581,6 +626,57 @@ mod tests {
         for r in debra.drain_orphans() {
             unsafe { drop(Box::from_raw(r.as_ptr())) };
         }
+    }
+
+    #[test]
+    fn epoch_advance_cadence_with_default_config() {
+        // Two handles driven from one OS thread with the paper's constants (scan one
+        // announcement per pin, advance after max(n, 100) of them).  The pin counts below
+        // are the cadence of the incremental scan; skipping the announcement reads after a
+        // full pass must not move any of them.
+        fn pins_until_epoch_moves(t: &mut DebraThread<u64>, sink: &mut CountingSink) -> usize {
+            let before = t.global().current_epoch();
+            let mut pins = 0;
+            while t.global().current_epoch() == before {
+                assert!(pins < 10_000, "the epoch never advanced");
+                let _ = t.leave_qstate(sink);
+                t.enter_qstate();
+                pins += 1;
+            }
+            pins
+        }
+
+        let debra: Arc<Debra<u64>> = Arc::new(Debra::new(2));
+        assert_eq!(debra.config, DebraConfig::default());
+        let mut a = Debra::register(&debra, 0).unwrap();
+        let mut b = Debra::register(&debra, 1).unwrap();
+        let mut sink = CountingSink::default();
+
+        // B idle (quiescent): A alone advances the epoch every 100 pins, and keeps doing so.
+        assert_eq!(pins_until_epoch_moves(&mut a, &mut sink), 100);
+        assert_eq!(pins_until_epoch_moves(&mut a, &mut sink), 100);
+        assert_eq!(debra.stats().epoch_stalls, 0);
+
+        // B starts an operation on the current epoch and stays in it: A can advance once
+        // more (B has announced that epoch), after which B is a non-quiescent thread on the
+        // old epoch.
+        let _ = b.leave_qstate(&mut sink);
+        assert_eq!(pins_until_epoch_moves(&mut a, &mut sink), 100);
+        let stuck_at = debra.current_epoch();
+        for _ in 0..500 {
+            let _ = a.leave_qstate(&mut sink);
+            a.enter_qstate();
+        }
+        assert_eq!(debra.current_epoch(), stuck_at, "B on the old epoch blocks the advance");
+        // The first of those pins passes A's own slot; each of the other 499 finds B.
+        assert_eq!(debra.stats().epoch_stalls, 499);
+        assert_eq!(debra.stats().epochs_advanced, 3);
+
+        // B finishes: the scan resumes where it stopped (one announcement already seen).
+        b.enter_qstate();
+        assert_eq!(pins_until_epoch_moves(&mut a, &mut sink), 99);
+        assert_eq!(debra.stats().epoch_stalls, 499);
+        assert_eq!(debra.stats().operations, 100 + 100 + 1 + 100 + 500 + 99);
     }
 
     #[test]

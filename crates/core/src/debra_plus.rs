@@ -3,7 +3,6 @@
 use std::collections::HashSet;
 use std::fmt;
 use std::ptr::NonNull;
-use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 use neutralize::{Neutralized, SignalDriver, ThreadRegistration};
@@ -12,7 +11,7 @@ use crate::config::DebraPlusConfig;
 use crate::debra::{Debra, DebraThread};
 use crate::properties::SchemeProperties;
 use crate::rprotect::RProtectArray;
-use crate::stats::ReclaimerStats;
+use crate::stats::{ReclaimerStats, ThreadStatsSlot};
 use crate::traits::{ReadProtection, ReclaimSink, Reclaimer, ReclaimerThread, RegistrationError};
 
 /// Shared state of the DEBRA+ reclaimer.
@@ -90,17 +89,15 @@ impl<T: Send + 'static> DebraPlus<T> {
         &self.rprotected[tid]
     }
 
-    /// Collects every currently R-protected record (by any thread) into a hash set of
-    /// addresses.  Called only when a limbo bag has grown past the scan threshold, so the
-    /// expected amortized cost per reclaimed record is O(1).
-    fn all_rprotected(&self) -> HashSet<usize> {
-        let mut set = HashSet::new();
+    /// Collects the address of every currently R-protected record (by any thread) into
+    /// `set`, a scratch set the calling thread reuses so that a rotation does not allocate.
+    /// Called only when a limbo bag has grown past the scan threshold, so the expected
+    /// amortized cost per reclaimed record is O(1).
+    fn gather_rprotected(&self, set: &mut HashSet<usize>) {
+        set.clear();
         for array in self.rprotected.iter() {
-            for p in array.iter() {
-                set.insert(p.as_ptr() as usize);
-            }
+            set.extend(array.iter().map(|p| p.as_ptr() as usize));
         }
-        set
     }
 
     /// Total number of neutralizations observed by all threads' signal handlers.
@@ -122,7 +119,12 @@ impl<T: Send + 'static> Reclaimer<T> for DebraPlus<T> {
         // Register the *calling* thread as the target of neutralization signals for `tid`.
         // (A DEBRA+ thread handle must therefore be created on the thread that will use it.)
         let registration = this.driver.register_current_thread(this.base.slot_arc(tid));
-        Ok(DebraPlusThread { inner, plus: Arc::clone(this), _registration: registration })
+        Ok(DebraPlusThread {
+            inner,
+            plus: Arc::clone(this),
+            protected: HashSet::with_capacity(this.max_threads() * this.config.rprotect_slots),
+            _registration: registration,
+        })
     }
 
     fn max_threads(&self) -> usize {
@@ -168,6 +170,9 @@ impl<T> fmt::Debug for DebraPlus<T> {
 pub struct DebraPlusThread<T: Send + 'static> {
     inner: DebraThread<T>,
     plus: Arc<DebraPlus<T>>,
+    /// Scratch for the R-protected set gathered at a rotation, sized at registration for
+    /// every thread's slots so that gathering never allocates.
+    protected: HashSet<usize>,
     _registration: ThreadRegistration,
 }
 
@@ -193,45 +198,49 @@ impl<T: Send + 'static> ReclaimerThread<T> for DebraPlusThread<T> {
     }
 
     fn leave_qstate<S: ReclaimSink<T>>(&mut self, sink: &mut S) -> bool {
-        let plus = Arc::clone(&self.plus);
-        let tid = self.inner.tid();
+        let DebraPlusThread { inner, plus, protected, .. } = self;
+        let plus: &DebraPlus<T> = plus;
+        let tid = inner.tid();
         // Starting a new operation (or retrying after recovery): any pending neutralization
         // has served its purpose (the thread is provably at a quiescent point right now).
-        plus.base.slot(tid).clear_neutralized();
+        inner.slot().clear_neutralized();
 
         let scan_threshold = plus.config.scan_threshold_blocks;
         let suspect_threshold = plus.config.suspect_threshold_blocks;
-        let plus_rotate = Arc::clone(&plus);
-        let plus_suspect = Arc::clone(&plus);
 
-        self.inner.leave_qstate_impl(
+        inner.leave_qstate_impl(
             sink,
-            move |this, sink| {
-                // Rotate limbo bags; reclaim only records not protected by any restricted
-                // hazard pointer, and only when the bag is big enough to amortize the scan.
-                if this.oldest_bag_blocks() >= scan_threshold {
-                    let protected = plus_rotate.all_rprotected();
-                    this.rotate_and_reclaim_filtered(sink, scan_threshold, |p| {
-                        protected.contains(&(p.as_ptr() as usize))
-                    });
-                } else {
+            |limbo, sink| {
+                if limbo.oldest_bag_blocks() < scan_threshold {
                     // Nothing worth scanning: rotate without freeing (the records will be
                     // examined once the bag has grown past the threshold).
-                    this.rotate_and_reclaim_filtered(sink, usize::MAX, |_| true);
+                    limbo.rotate();
+                    return 0;
+                }
+                // Reclaim only records not protected by any restricted hazard pointer.
+                // With no such pointer announced (always, for structures that never
+                // `RProtect`) the filter keeps nothing, and partitioning the bag record by
+                // record would hand over exactly the full blocks DEBRA's O(1)-per-block
+                // rotation does — so take that path.
+                plus.gather_rprotected(protected);
+                if protected.is_empty() {
+                    limbo.rotate_and_reclaim(sink)
+                } else {
+                    limbo.rotate_and_reclaim_filtered(sink, |p| {
+                        protected.contains(&(p.as_ptr() as usize))
+                    })
                 }
             },
-            move |this, other| {
+            |limbo, other| {
                 // `other` is non-quiescent and has not announced the current epoch.  If our
                 // limbo bag is getting large, suspect it of having crashed and neutralize it
                 // (the paper's `suspectNeutralized`).
-                if this.current_bag_blocks() < suspect_threshold {
+                if limbo.current_bag_blocks() < suspect_threshold {
                     return false;
                 }
-                let sent = plus_suspect.driver.neutralize(plus_suspect.base.slot(other));
+                let sent = plus.driver.neutralize(plus.base.slot(other));
                 if sent {
-                    plus_suspect.base.stats[this.tid()]
-                        .signals_sent
-                        .fetch_add(1, Ordering::Relaxed);
+                    ThreadStatsSlot::bump(&plus.base.stats[tid].signals_sent, 1);
                 }
                 sent
             },
@@ -271,13 +280,12 @@ impl<T: Send + 'static> ReclaimerThread<T> for DebraPlusThread<T> {
     }
 
     fn is_neutralized(&self) -> bool {
-        self.plus.base.slot(self.inner.tid()).is_neutralized()
+        self.inner.slot().is_neutralized()
     }
 
     fn begin_recovery(&mut self) {
-        let tid = self.inner.tid();
-        self.plus.base.stats[tid].neutralized.fetch_add(1, Ordering::Relaxed);
-        self.plus.base.slot(tid).clear_neutralized();
+        ThreadStatsSlot::bump(&self.plus.base.stats[self.inner.tid()].neutralized, 1);
+        self.inner.slot().clear_neutralized();
         // The thread stays quiescent (the handler already set the quiescent bit); recovery
         // code may access only R-protected records until the next `leave_qstate`.
     }
@@ -306,6 +314,7 @@ mod tests {
     use super::*;
     use crate::config::DebraConfig;
     use crate::traits::CountingSink;
+    use std::sync::atomic::Ordering;
 
     fn tiny_config() -> DebraPlusConfig {
         DebraPlusConfig {
@@ -419,45 +428,118 @@ mod tests {
         let mut a = DebraPlus::register(&plus, 0).unwrap();
         let mut b = DebraPlus::register(&plus, 1).unwrap();
         let mut sink = FreeingSink { freed: Vec::new() };
+        let mut next = 0u64;
 
-        // B announces a restricted hazard pointer to a record that A is about to retire
-        // (as recovery code would for its descriptor).
-        let target = leak(4242);
-        b.r_protect(target);
-        assert!(b.is_r_protected(target));
-
-        let mut a_sink = CountingSink::default();
-        let _ = a.leave_qstate(&mut a_sink);
-        unsafe { a.retire(target, &mut a_sink) };
-        a.enter_qstate();
-
-        // Drive A until plenty of reclamation has happened.
-        for i in 0..2_000u64 {
+        // Alternate between a non-empty R-protected set (the filtered rotation) and an
+        // empty one (the whole-block rotation).  In round 0 B protects the record before A
+        // retires it, as recovery code would for its descriptor; in round 1 the protection
+        // appears between two of A's rotations, after rotations that saw an empty set.
+        for round in 0..2 {
+            let target = leak(4242);
+            let addr = target.as_ptr() as usize;
+            if round == 0 {
+                b.r_protect(target);
+            }
             let _ = a.leave_qstate(&mut sink);
-            unsafe { a.retire(leak(i), &mut sink) };
+            unsafe { a.retire(target, &mut sink) };
             a.enter_qstate();
-        }
-        assert!(!sink.freed.is_empty());
-        assert!(
-            !sink.freed.contains(&(target.as_ptr() as usize)),
-            "an R-protected record must never be reclaimed"
-        );
+            if round == 1 {
+                let _ = a.leave_qstate(&mut sink);
+                a.enter_qstate();
+                assert!(!sink.freed.contains(&addr), "one rotation cannot free the record");
+                b.r_protect(target);
+            }
+            assert!(b.is_r_protected(target));
 
-        // Once unprotected, the record is eventually reclaimed.
-        b.r_unprotect_all();
-        assert!(!b.is_r_protected(target));
-        for _ in 0..2_000u64 {
-            let _ = a.leave_qstate(&mut sink);
-            a.enter_qstate();
+            // Drive A until plenty of reclamation has happened.
+            let freed_before = sink.freed.len();
+            for _ in 0..2_000 {
+                let _ = a.leave_qstate(&mut sink);
+                unsafe { a.retire(leak(next), &mut sink) };
+                next += 1;
+                a.enter_qstate();
+            }
+            assert!(sink.freed.len() > freed_before);
+            assert!(!sink.freed.contains(&addr), "an R-protected record must never be reclaimed");
+
+            // Once unprotected (the set is empty again), the record is eventually reclaimed.
+            b.r_unprotect_all();
+            assert!(!b.is_r_protected(target));
+            for _ in 0..2_000 {
+                let _ = a.leave_qstate(&mut sink);
+                unsafe { a.retire(leak(next), &mut sink) };
+                next += 1;
+                a.enter_qstate();
+            }
+            assert!(
+                sink.freed.contains(&addr),
+                "after RUnprotectAll the record becomes reclaimable"
+            );
+            // Forget the address: the allocator may hand it out again in the next round.
+            sink.freed.clear();
         }
-        assert!(
-            sink.freed.contains(&(target.as_ptr() as usize)),
-            "after RUnprotectAll the record becomes reclaimable"
-        );
 
         drop(a);
         drop(b);
         drain_leaked(&plus);
+    }
+
+    #[test]
+    fn empty_rprotected_set_rotation_matches_the_filtered_rotation() {
+        // Two instances fed the same retire sequence.  In `filtered`, the second thread
+        // holds a restricted hazard pointer to a record that is never retired, so every
+        // rotation partitions its bag against a non-empty set that keeps nothing; in
+        // `fast` the set is empty and rotations move whole blocks.  Records carry their
+        // sequence number, so "the same records" is checked by value.
+        struct ValueSink {
+            freed: Vec<u64>,
+        }
+        impl ReclaimSink<u64> for ValueSink {
+            fn accept(&mut self, record: NonNull<u64>) {
+                // SAFETY: test records are leaked boxes reclaimed exactly once.
+                self.freed.push(*unsafe { Box::from_raw(record.as_ptr()) });
+            }
+        }
+
+        let config = DebraPlusConfig {
+            debra: DebraConfig { check_threshold: 1, increment_threshold: 3, block_capacity: 4 },
+            ..tiny_config()
+        };
+        let fast: Arc<DebraPlus<u64>> =
+            Arc::new(DebraPlus::with_config(2, config, SignalDriver::simulated()));
+        let filtered: Arc<DebraPlus<u64>> =
+            Arc::new(DebraPlus::with_config(2, config, SignalDriver::simulated()));
+        let mut fast_a = DebraPlus::register(&fast, 0).unwrap();
+        let mut filtered_a = DebraPlus::register(&filtered, 0).unwrap();
+        let mut filtered_b = DebraPlus::register(&filtered, 1).unwrap();
+        let bystander = leak(u64::MAX);
+        filtered_b.r_protect(bystander);
+
+        let mut fast_sink = ValueSink { freed: Vec::new() };
+        let mut filtered_sink = ValueSink { freed: Vec::new() };
+        for i in 0..3_000u64 {
+            for (t, sink) in [(&mut fast_a, &mut fast_sink), (&mut filtered_a, &mut filtered_sink)]
+            {
+                let _ = t.leave_qstate(sink);
+                // A varying number of retires per operation, so bags rotate with zero,
+                // some and only full blocks.
+                for k in 0..(i % 4) {
+                    unsafe { t.retire(leak(i * 4 + k), sink) };
+                }
+                t.enter_qstate();
+            }
+            assert_eq!(fast_sink.freed, filtered_sink.freed, "same records, in the same order");
+            let (f, g) = (fast.stats(), filtered.stats());
+            assert_eq!((f.retired, f.reclaimed, f.pending), (g.retired, g.reclaimed, g.pending));
+            assert_eq!(f.reclaimed, fast_sink.freed.len() as u64);
+            assert_eq!(f.retired - f.reclaimed, f.pending);
+        }
+        assert!(fast_sink.freed.len() > 2_000, "both paths must actually reclaim");
+
+        drop((fast_a, filtered_a, filtered_b));
+        drain_leaked(&fast);
+        drain_leaked(&filtered);
+        unsafe { drop(Box::from_raw(bystander.as_ptr())) };
     }
 
     #[cfg(unix)]

@@ -63,6 +63,14 @@ pub struct ReclaimerStats {
 }
 
 impl ThreadStatsSlot {
+    /// Adds `n` to one of a slot's counters with a plain load and store instead of a
+    /// lock-prefixed read-modify-write.  Correct only under the single-writer contract
+    /// stated on [`ThreadStatsSlot`]: call it from the owning thread alone.
+    #[inline]
+    pub fn bump(counter: &AtomicU64, n: u64) {
+        counter.store(counter.load(Ordering::Relaxed).wrapping_add(n), Ordering::Relaxed);
+    }
+
     /// Adds this thread's counters into an aggregate snapshot (used by reclaimer
     /// implementations, including those in other crates, to build [`ReclaimerStats`]).
     pub fn snapshot_into(&self, agg: &mut ReclaimerStats) {

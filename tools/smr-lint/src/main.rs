@@ -12,6 +12,10 @@
 //! * **hot-path-blocking** — no `std::sync::Mutex` / `thread::sleep` in hot-path crates
 //!   (reclaimers, pools, allocators, structures); cold-path exceptions are documented in
 //!   the allowlist.
+//! * **hot-path-refcount** — no `Arc::clone(` (or `.clone()` on an `Arc` field) inside the
+//!   per-operation functions of hot-path crates (`leave_qstate*`, `enter_qstate*`,
+//!   `retire*`, `protect*`, `check`): a refcount bump there is a lock-prefixed write to a
+//!   line every thread shares.
 //! * **must-use-guards** — RAII guard types in `crates/core` are `#[must_use]`, and
 //!   protection/checkpoint functions returning a result that must be consulted are too.
 //!
@@ -45,6 +49,10 @@ const HOT_PATH_CRATES: &[&str] = &[
     "crates/queue",
     "crates/vbr",
 ];
+
+/// Name prefixes of the functions every operation runs: once per pin, per accessed record
+/// or per retired record (`check` is matched whole, see [`is_per_operation_fn`]).
+const PER_OPERATION_FN_PREFIXES: &[&str] = &["leave_qstate", "enter_qstate", "retire", "protect"];
 
 /// RAII guard types of the safe layer that must be `#[must_use]`.
 const GUARD_TYPES: &[&str] =
@@ -456,6 +464,64 @@ fn rule_hot_path_blocking(root: &Path, findings: &mut Vec<Finding>) {
     }
 }
 
+fn is_per_operation_fn(name: &str) -> bool {
+    name == "check" || PER_OPERATION_FN_PREFIXES.iter().any(|p| name.starts_with(p))
+}
+
+/// Names declared as `name: Arc<…>` (struct fields, mostly) in the cleaned source.
+fn arc_fields(clean: &str) -> Vec<&str> {
+    let mut out = Vec::new();
+    for (at, _) in clean.match_indices(": Arc<") {
+        let name_start =
+            clean[..at].rfind(|c: char| !(c.is_alphanumeric() || c == '_')).map_or(0, |p| p + 1);
+        if name_start < at {
+            out.push(&clean[name_start..at]);
+        }
+    }
+    out
+}
+
+/// The `hot-path-refcount` findings of one file (`path` relative to the workspace root).
+fn refcount_findings(path: &str, src: &str) -> Vec<Finding> {
+    let clean = strip_test_modules(&clean_source(src));
+    let mut needles = vec!["Arc::clone(".to_string()];
+    needles.extend(arc_fields(&clean).iter().map(|field| format!(".{field}.clone()")));
+    let mut findings = Vec::new();
+    for (name, _, body) in functions(&clean) {
+        if !is_per_operation_fn(&name) {
+            continue;
+        }
+        for needle in &needles {
+            for (p, _) in clean[body.clone()].match_indices(needle.as_str()) {
+                let line = line_of(&clean, body.start + p);
+                findings.push(Finding {
+                    rule: "hot-path-refcount",
+                    path: path.to_string(),
+                    line,
+                    line_text: line_text(src, line),
+                    message: format!(
+                        "fn `{name}` runs on every operation and bumps an Arc refcount \
+                         (`{needle}`): a lock-prefixed write to a line all threads share; \
+                         borrow the Arc's target instead"
+                    ),
+                });
+            }
+        }
+    }
+    findings
+}
+
+fn rule_hot_path_refcount(root: &Path, findings: &mut Vec<Finding>) {
+    for krate in HOT_PATH_CRATES {
+        let mut files = Vec::new();
+        rust_files(&root.join(krate).join("src"), &mut files);
+        for file in files {
+            let Ok(src) = std::fs::read_to_string(&file) else { continue };
+            findings.extend(refcount_findings(&rel(root, &file), &src));
+        }
+    }
+}
+
 fn rule_must_use_guards(root: &Path, findings: &mut Vec<Finding>) {
     let mut files = Vec::new();
     rust_files(&root.join("crates/core/src"), &mut files);
@@ -539,6 +605,7 @@ fn main() -> ExitCode {
     rule_forbid_unsafe(&root, &mut findings);
     rule_unprotected_deref(&root, &mut findings);
     rule_hot_path_blocking(&root, &mut findings);
+    rule_hot_path_refcount(&root, &mut findings);
     rule_must_use_guards(&root, &mut findings);
 
     let (kept, waived): (Vec<_>, Vec<_>) =
@@ -550,7 +617,7 @@ fn main() -> ExitCode {
         println!("{f}");
     }
     if kept.is_empty() {
-        println!("smr-lint: clean ({} rule families)", 4);
+        println!("smr-lint: clean ({} rule families)", 5);
         ExitCode::SUCCESS
     } else {
         println!("smr-lint: {} finding(s)", kept.len());
@@ -602,6 +669,38 @@ mod tests {
         let out = strip_test_modules(&clean_source(src));
         assert!(out.contains("shipped"));
         assert!(!out.contains("bad()"));
+    }
+
+    #[test]
+    fn refcount_rule_flags_the_clone_debra_used_to_take_on_every_pin() {
+        let path = "crates/core/src/debra.rs";
+        let file = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..").join(path);
+        let shipped = std::fs::read_to_string(file).expect("the linter runs inside the workspace");
+        assert!(refcount_findings(path, &shipped).is_empty(), "the shipped file is clean");
+
+        // Re-inject the per-pin clone `leave_qstate_impl` opened with before it borrowed.
+        let borrow = "let global: &Debra<T> = global;";
+        assert_eq!(shipped.matches(borrow).count(), 1);
+        let mutated = shipped.replace(borrow, "let global = Arc::clone(&self.global);");
+        let findings = refcount_findings(path, &mutated);
+        assert_eq!(findings.len(), 1, "{findings:?}");
+        assert_eq!(findings[0].rule, "hot-path-refcount");
+        assert!(findings[0].message.contains("leave_qstate_impl"));
+        assert!(findings[0].line_text.contains("Arc::clone(&self.global)"));
+    }
+
+    #[test]
+    fn refcount_rule_sees_arc_field_clones_only_in_per_operation_fns() {
+        let src = "struct H { global: Arc<G>, key: K }\n\
+                   impl H {\n\
+                   fn register(&self) -> Arc<G> { Arc::clone(&self.global) }\n\
+                   fn retire_impl(&self) { let g = self.global.clone(); let k = self.key.clone(); }\n\
+                   fn check(&self) { let _ = Arc::clone(&self.global); }\n\
+                   fn checkpoint(&self) { let _ = Arc::clone(&self.global); }\n\
+                   }";
+        let findings = refcount_findings("x.rs", src);
+        let lines: Vec<usize> = findings.iter().map(|f| f.line).collect();
+        assert_eq!(lines, [4, 5], "{findings:?}");
     }
 
     #[test]
