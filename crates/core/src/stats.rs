@@ -157,19 +157,6 @@ impl PoolStats {
         self.slots_live = self.slots_live.max(other.slots_live);
         self.slots_free = self.slots_free.max(other.slots_free);
     }
-
-    /// Adds a snapshot from a **different process** (a child-process bench cell).
-    /// Distinct processes have distinct page stores, so the gauges are independent
-    /// footprints and must be *summed* — max-merging them as if they were one store
-    /// would understate the fleet-wide footprint.  Within one process, use
-    /// [`merge`](Self::merge).
-    pub fn merge_across_processes(&mut self, other: &PoolStats) {
-        self.magazine_hits += other.magazine_hits;
-        self.magazine_misses += other.magazine_misses;
-        self.pages_mapped += other.pages_mapped;
-        self.slots_live += other.slots_live;
-        self.slots_free += other.slots_free;
-    }
 }
 
 /// Aggregates the per-thread slots of a reclaimer into a [`ReclaimerStats`] snapshot.
@@ -225,7 +212,7 @@ mod tests {
     }
 
     #[test]
-    fn pool_merge_same_process_maxes_gauges_but_cross_process_sums_them() {
+    fn pool_merge_sums_counters_but_maxes_gauges() {
         let a = PoolStats {
             magazine_hits: 10,
             magazine_misses: 2,
@@ -240,17 +227,12 @@ mod tests {
             slots_live: 200,
             slots_free: 10,
         };
-        let mut same = a;
-        same.merge(&b);
-        assert_eq!(same.magazine_hits, 11);
-        assert_eq!(same.pages_mapped, 5, "one store: snapshots overlap, keep the max");
-        assert_eq!(same.slots_live, 200);
-
-        let mut cross = a;
-        cross.merge_across_processes(&b);
-        assert_eq!(cross.magazine_hits, 11);
-        assert_eq!(cross.pages_mapped, 8, "two stores: footprints add");
-        assert_eq!(cross.slots_live, 300);
-        assert_eq!(cross.slots_free, 30);
+        let mut merged = a;
+        merged.merge(&b);
+        assert_eq!(merged.magazine_hits, 11);
+        assert_eq!(merged.magazine_misses, 3);
+        assert_eq!(merged.pages_mapped, 5, "one store: snapshots overlap, keep the max");
+        assert_eq!(merged.slots_live, 200);
+        assert_eq!(merged.slots_free, 20);
     }
 }

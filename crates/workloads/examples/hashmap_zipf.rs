@@ -8,13 +8,11 @@
 //! prints throughput plus the retire/reclaim counters side by side.
 //!
 //! ```text
-//! cargo run --release --example hashmap_zipf
+//! cargo run --release -p smr-workloads --example hashmap_zipf
 //! ```
 
-use debra_repro::smr_workloads::experiments::{
-    run_config, AllocatorKind, ReclaimerKind, StructureKind,
-};
-use debra_repro::smr_workloads::workload::{KeyDistribution, OperationMix, WorkloadConfig};
+use smr_workloads::experiments::{run_config, AllocatorKind, ReclaimerKind, StructureKind};
+use smr_workloads::workload::{KeyDistribution, OperationMix, WorkloadConfig};
 
 fn main() {
     let threads = std::thread::available_parallelism().map(|n| n.get().min(4)).unwrap_or(2);
@@ -35,8 +33,6 @@ fn main() {
                 duration_ms: 300,
                 prefill: true,
                 allocator: AllocatorKind::BumpWithPool,
-                latency: false,
-                laggard_stall_ms: 0,
             };
             let row = run_config(StructureKind::HashMap, reclaimer, &cfg, 0x5EED);
             println!(

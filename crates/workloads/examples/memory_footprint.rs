@@ -6,7 +6,7 @@
 //! reclamation, and hazard pointers sit in between.
 //!
 //! ```text
-//! cargo run --release --example memory_footprint
+//! cargo run --release -p smr-workloads --example memory_footprint
 //! ```
 
 use smr_workloads::experiments::{run_config, AllocatorKind, ReclaimerKind, StructureKind};
@@ -22,8 +22,6 @@ fn main() {
         duration_ms: 400,
         prefill: true,
         allocator: AllocatorKind::BumpWithPool,
-        latency: false,
-        laggard_stall_ms: 0,
     };
     println!(
         "BST, {} threads, keyrange {}, {} for {} ms (bump allocator + pool)\n",

@@ -11,14 +11,12 @@
 //!   memory       memory allocated for records + neutralizations (Figure 9 right)
 //!   e3           Experiment 3: malloc allocator (Figure 10)
 //!   zipf         uniform vs. Zipfian keys on the hash map and BST (not in the paper)
-//!   pc           producer/consumer: queue + stack, symmetric and bursty scenarios
-//!   oversub      latency + bounded-memory family: recording-overhead twins, 4x-cores
-//!                oversubscription with a pinned laggard, writes BENCH_latency.json
 //!   sanitize     every scheme + structure under the smr-check pointer-race sanitizer;
 //!                prints the violation report and fails on any report (needs
 //!                `--features smr_sanitize`)
 //!   summary      headline ratios from the abstract (DEBRA vs None vs HP)
-//!   all          everything above
+//!   quick        one short BST x DEBRA trial (a sanity check)
+//!   all          every table above except `sanitize` and `quick`
 //!
 //! Environment variables:
 //!   DURATION_MS   per-trial duration (default 300)
@@ -31,8 +29,7 @@
 
 use smr_workloads::experiments::{
     self, experiment1, experiment2, experiment2_oversubscribed, experiment3,
-    experiment_distribution, experiment_producer_consumer, memory_footprint, print_pc_rows,
-    print_rows, summarize, ReclaimerKind, StructureKind,
+    experiment_distribution, memory_footprint, print_rows, summarize, ReclaimerKind, StructureKind,
 };
 use smr_workloads::figure2;
 use smr_workloads::workload::{KeyDistribution, OperationMix, WorkloadConfig};
@@ -96,11 +93,6 @@ fn main() {
             "Key-distribution experiment: uniform vs. Zipfian (hash map + BST)",
             &experiment_distribution(&threads, duration, small),
         ),
-        "pc" => print_pc_rows(
-            "Producer/consumer experiment: queue + stack, every scheme (not in the paper)",
-            &experiment_producer_consumer(&threads, duration),
-        ),
-        "oversub" => smr_workloads::oversub::run_oversub(duration),
         "sanitize" => {
             // Every scheme and structure under the smr-check pointer-race sanitizer;
             // non-zero violation counts fail the run (used by the nightly CI job).
@@ -139,8 +131,6 @@ fn main() {
                 duration_ms: duration,
                 prefill: true,
                 allocator: experiments::allocator_from_env(AllocatorKind::BumpWithPool),
-                latency: false,
-                laggard_stall_ms: 0,
             };
             let row = experiments::run_config(StructureKind::Bst, ReclaimerKind::Debra, &cfg, 1);
             print_rows("Quick check", &[row]);
@@ -162,11 +152,6 @@ fn main() {
                 "Key-distribution experiment: uniform vs. Zipfian (hash map + BST)",
                 &experiment_distribution(&threads, duration, small),
             );
-            print_pc_rows(
-                "Producer/consumer experiment: queue + stack, every scheme (not in the paper)",
-                &experiment_producer_consumer(&threads, duration),
-            );
-            smr_workloads::oversub::run_oversub(duration);
             println!("\n### Headline comparison (paper abstract)\n");
             for line in summarize(&e2) {
                 println!("  {line}");

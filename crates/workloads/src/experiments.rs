@@ -23,11 +23,9 @@ use smr_baselines::{ClassicEbr, HazardPointers, NoReclaim, ThreadScanLite};
 use smr_hashmap::{HashMapNode, LockFreeHashMap};
 use smr_ibr::Ibr;
 use smr_pagepool::{PageAllocator, PagePool};
-use smr_queue::{MsQueue, QueueNode, StackNode, TreiberStack};
 use smr_vbr::Vbr;
 
 use crate::harness::{run_trial, TrialResult};
-use crate::pc::{run_pc_trial, PcConfig, PcScenario, PcTrialResult};
 use crate::workload::{KeyDistribution, OperationMix, WorkloadConfig};
 
 /// Trials narrated so far (the `i` of `trial i/N`), process-wide.
@@ -142,11 +140,6 @@ pub enum StructureKind {
     SkipList,
     /// The lock-free hash map (fixed bucket array of Harris–Michael lists).
     HashMap,
-    /// The Michael–Scott MPMC queue (a [`lockfree_ds::ConcurrentBag`], driven by the
-    /// producer/consumer harness instead of the keyed-map harness).
-    Queue,
-    /// The Treiber stack (also bag-shaped; producer/consumer harness).
-    Stack,
 }
 
 impl StructureKind {
@@ -156,15 +149,7 @@ impl StructureKind {
             StructureKind::Bst => "BST",
             StructureKind::SkipList => "SkipList",
             StructureKind::HashMap => "HashMap",
-            StructureKind::Queue => "Queue",
-            StructureKind::Stack => "Stack",
         }
-    }
-
-    /// `true` for the bag-shaped structures (queue, stack), whose trials run through the
-    /// producer/consumer harness ([`crate::pc`]) rather than the keyed-map harness.
-    pub fn is_bag(&self) -> bool {
-        matches!(self, StructureKind::Queue | StructureKind::Stack)
     }
 }
 
@@ -245,7 +230,7 @@ pub struct ExperimentRow {
 }
 
 impl ExperimentRow {
-    /// Formats the row the way the experiment tables in `EXPERIMENTS.md` are written.
+    /// Formats the row as one line of the markdown table [`print_rows`] prints.
     pub fn to_table_line(&self) -> String {
         format!(
             "| {:9} | {:10} | {:12} | {:3} | {:8} | {:8} | {:8} | {:8.3} | {:10} | {:10} | {:6} | {:7.1} | {:5} |",
@@ -274,74 +259,9 @@ impl ExperimentRow {
     }
 }
 
-/// Runs `body` with a *laggard* thread registered next to it: an extra reclaimer
-/// participant that holds operations open for `stall_ms`-long windows separated by
-/// ~1ms quiescent gaps, responding to neutralization exactly like the DEBRA+
-/// fault-tolerance tests' staller.  This is the forced-preemption knob of the
-/// oversubscribed trial family — it reproduces the paper's Figure 9 regime (a
-/// preempted reader stalls epoch advancement and limbo balloons) deterministically,
-/// instead of hoping the OS scheduler preempts a worker mid-operation.
-///
-/// Under epoch schemes without neutralization (DEBRA, EBR, IBR) each stall window
-/// blocks reclamation outright; DEBRA+ neutralizes the laggard and keeps reclaiming —
-/// the differentiation the latency+limbo table exists to show.
-fn with_laggard<T, R, P, A, O>(
-    manager: &Arc<RecordManager<T, R, P, A>>,
-    tid: usize,
-    stall_ms: u64,
-    body: impl FnOnce() -> O,
-) -> O
-where
-    T: Send + 'static,
-    R: Reclaimer<T>,
-    P: Pool<T>,
-    A: Allocator<T>,
-{
-    use std::sync::atomic::AtomicBool;
-    let stop = AtomicBool::new(false);
-    let ready = AtomicBool::new(false);
-    std::thread::scope(|scope| {
-        scope.spawn(|| {
-            // Register on the laggard thread itself (DEBRA+ binds its signal target to
-            // the registering thread).  The slot `tid` is reserved for the laggard by
-            // the dispatch macros; Domain auto-leasing skips already-registered slots.
-            let mut laggard = manager.register(tid).expect("laggard thread slot");
-            ready.store(true, Ordering::SeqCst);
-            let stall = std::time::Duration::from_millis(stall_ms);
-            while !stop.load(Ordering::Relaxed) {
-                let _ = laggard.leave_qstate();
-                let window = Instant::now();
-                while window.elapsed() < stall && !stop.load(Ordering::Relaxed) {
-                    if laggard.check().is_err() {
-                        laggard.begin_recovery();
-                        let _ = laggard.leave_qstate();
-                    }
-                    std::thread::yield_now();
-                }
-                laggard.enter_qstate();
-                // A short quiescent gap between stall windows: a preempted reader does
-                // eventually get scheduled, and the gap is what lets non-neutralizing
-                // schemes reclaim *something* (so their rows show pressure, not OOM).
-                std::thread::sleep(std::time::Duration::from_millis(1));
-            }
-        });
-        while !ready.load(Ordering::SeqCst) {
-            std::thread::yield_now();
-        }
-        let out = body();
-        stop.store(true, Ordering::SeqCst);
-        out
-        // scope joins the laggard here
-    })
-}
-
 /// Runs one fully specified configuration and returns its row.  The memory configuration
-/// (allocator + pool) comes from [`WorkloadConfig::allocator`].
-///
-/// Bag-shaped structures (queue, stack) are routed through the producer/consumer harness
-/// with a symmetric scenario whose enqueue share is the mix's insert percentage
-/// (normalized against the delete share; searches have no bag analogue) — so the map
-/// sweeps' `(structure, mix)` vocabulary extends to bags without a second entry point.
+/// (allocator + pool) comes from [`WorkloadConfig::allocator`], except that VBR always
+/// runs over the page pool ([`ReclaimerKind::effective_allocator`]).
 pub fn run_config(
     structure: StructureKind,
     reclaimer: ReclaimerKind,
@@ -349,30 +269,6 @@ pub fn run_config(
     seed: u64,
 ) -> ExperimentRow {
     let allocator = reclaimer.effective_allocator(cfg.allocator);
-    if structure.is_bag() {
-        let updates = (cfg.mix.insert_pct as u64 + cfg.mix.delete_pct as u64).max(1);
-        let pc_cfg = PcConfig {
-            threads: cfg.threads,
-            scenario: PcScenario::Symmetric,
-            enqueue_pct: (cfg.mix.insert_pct as u64 * 100 / updates) as u8,
-            prefill: if cfg.prefill { cfg.key_range / 2 } else { 0 },
-            duration_ms: cfg.duration_ms,
-            allocator,
-            latency: cfg.latency,
-            laggard_stall_ms: cfg.laggard_stall_ms,
-        };
-        let row = run_pc_config(structure, reclaimer, &pc_cfg, seed);
-        return ExperimentRow {
-            structure,
-            reclaimer,
-            allocator,
-            threads: cfg.threads,
-            key_range: cfg.key_range,
-            mix: row.mix,
-            distribution: cfg.distribution,
-            result: row.result.trial,
-        };
-    }
     // Sweeps print their tables only when complete; on a single-core box a full sweep
     // takes minutes, so narrate per-trial progress (with `i/N` and elapsed wall-clock)
     // to stderr (tables go to stdout).
@@ -386,32 +282,18 @@ pub fn run_config(
     // the shared harness.
     macro_rules! run {
         ($ds:ident, $node:ty, $recl:ty, $pool:ty, $alloc:ty) => {{
-            // +1 slot for the prefill handle, +1 more for the laggard when pinned.
-            let laggard = cfg.laggard_stall_ms > 0;
-            let threads = cfg.threads + 1 + laggard as usize;
+            // +1 slot for the calling thread (the prefill, then the harness's shutdown nudge).
             let manager: Arc<RecordManager<$node, $recl, $pool, $alloc>> =
-                Arc::new(RecordManager::new(threads));
+                Arc::new(RecordManager::new(cfg.threads + 1));
             let map = $ds::new(Arc::clone(&manager));
-            let trial = || {
-                run_trial(
-                    &map,
-                    cfg,
-                    seed,
-                    || manager.reclaimer().stats(),
-                    || {
-                        (
-                            manager.allocator().allocated_bytes(),
-                            manager.allocator().allocated_records(),
-                        )
-                    },
-                    || manager.pool().stats(),
-                )
-            };
-            if laggard {
-                with_laggard(&manager, threads - 1, cfg.laggard_stall_ms, trial)
-            } else {
-                trial()
-            }
+            run_trial(
+                &map,
+                cfg,
+                seed,
+                || manager.reclaimer().stats(),
+                || (manager.allocator().allocated_bytes(), manager.allocator().allocated_records()),
+                || manager.pool().stats(),
+            )
         }};
     }
 
@@ -438,10 +320,6 @@ pub fn run_config(
                     $recl<HashMapNode<u64, u64>>,
                     $pool<HashMapNode<u64, u64>>,
                     $alloc<HashMapNode<u64, u64>>
-                ),
-                // Bags were routed to the producer/consumer harness above.
-                StructureKind::Queue | StructureKind::Stack => unreachable!(
-                    "bag structures run through run_pc_config (see the is_bag() branch)"
                 ),
             }
         };
@@ -470,7 +348,9 @@ pub fn run_config(
         ReclaimerKind::Ebr => dispatch_memory!(ClassicEbr),
         ReclaimerKind::ThreadScan => dispatch_memory!(ThreadScanLite),
         ReclaimerKind::Ibr => dispatch_memory!(Ibr),
-        ReclaimerKind::Vbr => dispatch_memory!(Vbr),
+        // VBR runs only on the page pool: `effective_allocator` coerces it there, and
+        // `RecordManager::new` rejects every other allocator.
+        ReclaimerKind::Vbr => dispatch_structure!(Vbr, PagePool, PageAllocator),
     };
 
     ExperimentRow {
@@ -482,198 +362,6 @@ pub fn run_config(
         mix: cfg.mix.label(),
         distribution: cfg.distribution,
         result,
-    }
-}
-
-/// One row of a producer/consumer experiment's output table: like [`ExperimentRow`] but
-/// keeping the full [`PcTrialResult`] (pair rate, enqueue/dequeue/empty counts).
-#[derive(Debug, Clone, PartialEq)]
-pub struct PcRow {
-    /// Data structure ([`StructureKind::Queue`] or [`StructureKind::Stack`]).
-    pub structure: StructureKind,
-    /// Reclamation scheme.
-    pub reclaimer: ReclaimerKind,
-    /// Memory configuration.
-    pub allocator: AllocatorKind,
-    /// Thread count.
-    pub threads: usize,
-    /// Scenario/mix label (e.g. `"50e-50d/sym"`, `"burst128"`).
-    pub mix: String,
-    /// Trial measurements.
-    pub result: PcTrialResult,
-}
-
-impl PcRow {
-    /// Formats the row for the producer/consumer tables.
-    pub fn to_table_line(&self) -> String {
-        format!(
-            "| {:9} | {:10} | {:12} | {:3} | {:12} | {:8.3} | {:8.3} | {:10} | {:10} | {:10} | {:10} |",
-            self.structure.name(),
-            self.reclaimer.name(),
-            self.allocator.name(),
-            self.threads,
-            self.mix,
-            self.result.pair_rate_mpairs,
-            self.result.trial.throughput_mops,
-            self.result.enqueues,
-            self.result.dequeues,
-            self.result.empty_dequeues,
-            self.result.trial.reclaimer.reclaimed,
-        )
-    }
-
-    /// The table header matching [`Self::to_table_line`].
-    pub fn table_header() -> String {
-        let mut s = String::new();
-        s.push_str("| structure | scheme     | memory       | thr | scenario     | Mpairs/s | Mops/s   | enqueues   | dequeues   | empty      | reclaimed  |\n");
-        s.push_str("|-----------|------------|--------------|-----|--------------|----------|----------|------------|------------|------------|------------|");
-        s
-    }
-}
-
-/// Runs one fully specified producer/consumer configuration (queue or stack) and returns
-/// its row.  This is the bag-shaped sibling of [`run_config`], with scenario control the
-/// map-shaped entry point cannot express.  The memory configuration comes from
-/// [`PcConfig::allocator`].
-///
-/// # Panics
-///
-/// Panics when `structure` is not a bag (use [`run_config`] for maps).
-pub fn run_pc_config(
-    structure: StructureKind,
-    reclaimer: ReclaimerKind,
-    cfg: &PcConfig,
-    seed: u64,
-) -> PcRow {
-    let allocator = reclaimer.effective_allocator(cfg.allocator);
-    assert!(structure.is_bag(), "run_pc_config drives bag structures (Queue, Stack)");
-    narrate_trial(format_args!(
-        "{structure:?} x {reclaimer:?} x {allocator:?} (threads={}, {}, {}ms)",
-        cfg.threads,
-        cfg.label(),
-        cfg.duration_ms
-    ));
-    macro_rules! run_bag {
-        ($ds:ident, $node:ty, $recl:ty, $pool:ty, $alloc:ty) => {{
-            // +1 slot for the prefill handle, +1 more for the laggard when pinned.
-            let laggard = cfg.laggard_stall_ms > 0;
-            let threads = cfg.threads + 1 + laggard as usize;
-            let manager: Arc<RecordManager<$node, $recl, $pool, $alloc>> =
-                Arc::new(RecordManager::new(threads));
-            let bag = $ds::new(Arc::clone(&manager));
-            let trial = || {
-                run_pc_trial(
-                    &bag,
-                    cfg,
-                    seed,
-                    || manager.reclaimer().stats(),
-                    || {
-                        (
-                            manager.allocator().allocated_bytes(),
-                            manager.allocator().allocated_records(),
-                        )
-                    },
-                    || manager.pool().stats(),
-                )
-            };
-            if laggard {
-                with_laggard(&manager, threads - 1, cfg.laggard_stall_ms, trial)
-            } else {
-                trial()
-            }
-        }};
-    }
-
-    macro_rules! dispatch_bag_structure {
-        ($recl:ident, $pool:ident, $alloc:ident) => {
-            match structure {
-                StructureKind::Queue => run_bag!(
-                    MsQueue,
-                    QueueNode<u64>,
-                    $recl<QueueNode<u64>>,
-                    $pool<QueueNode<u64>>,
-                    $alloc<QueueNode<u64>>
-                ),
-                StructureKind::Stack => run_bag!(
-                    TreiberStack,
-                    StackNode<u64>,
-                    $recl<StackNode<u64>>,
-                    $pool<StackNode<u64>>,
-                    $alloc<StackNode<u64>>
-                ),
-                _ => unreachable!("asserted bag-shaped above"),
-            }
-        };
-    }
-
-    macro_rules! dispatch_bag_memory {
-        ($recl:ident) => {
-            match allocator {
-                AllocatorKind::BumpNoPool => dispatch_bag_structure!($recl, NoPool, BumpAllocator),
-                AllocatorKind::BumpWithPool => {
-                    dispatch_bag_structure!($recl, ThreadPool, BumpAllocator)
-                }
-                AllocatorKind::SystemWithPool => {
-                    dispatch_bag_structure!($recl, ThreadPool, SystemAllocator)
-                }
-                AllocatorKind::PagePool => {
-                    dispatch_bag_structure!($recl, PagePool, PageAllocator)
-                }
-            }
-        };
-    }
-
-    let result = match reclaimer {
-        ReclaimerKind::None => dispatch_bag_memory!(NoReclaim),
-        ReclaimerKind::Debra => dispatch_bag_memory!(Debra),
-        ReclaimerKind::DebraPlus => dispatch_bag_memory!(DebraPlus),
-        ReclaimerKind::HazardPointers => dispatch_bag_memory!(HazardPointers),
-        ReclaimerKind::Ebr => dispatch_bag_memory!(ClassicEbr),
-        ReclaimerKind::ThreadScan => dispatch_bag_memory!(ThreadScanLite),
-        ReclaimerKind::Ibr => dispatch_bag_memory!(Ibr),
-        ReclaimerKind::Vbr => dispatch_bag_memory!(Vbr),
-    };
-
-    PcRow { structure, reclaimer, allocator, threads: cfg.threads, mix: cfg.label(), result }
-}
-
-/// The producer/consumer experiment (not in the paper — the paper's evaluation is
-/// entirely map-shaped): queue and stack under every scheme, symmetric (pairwise
-/// 50e-50d) and bursty-producer scenarios, bump allocator + pool.  Every successful
-/// dequeue retires a record, so limbo pressure here is proportional to raw throughput —
-/// the worst-case garbage regime, which no operation mix on a map reaches.
-pub fn experiment_producer_consumer(thread_counts: &[usize], duration_ms: u64) -> Vec<PcRow> {
-    let allocator = allocator_from_env(AllocatorKind::BumpWithPool);
-    announce_trials(2 * 2 * thread_counts.len() as u64 * ReclaimerKind::ALL.len() as u64);
-    let mut rows = Vec::new();
-    for structure in [StructureKind::Queue, StructureKind::Stack] {
-        for scenario in [PcScenario::Symmetric, PcScenario::BurstyProducer { burst: 128 }] {
-            for &threads in thread_counts {
-                for reclaimer in ReclaimerKind::ALL {
-                    let cfg = PcConfig {
-                        threads,
-                        scenario,
-                        enqueue_pct: 50,
-                        prefill: 256,
-                        duration_ms,
-                        allocator,
-                        latency: false,
-                        laggard_stall_ms: 0,
-                    };
-                    rows.push(run_pc_config(structure, reclaimer, &cfg, 0xBA6));
-                }
-            }
-        }
-    }
-    rows
-}
-
-/// Prints a set of producer/consumer rows as a markdown table.
-pub fn print_pc_rows(title: &str, rows: &[PcRow]) {
-    println!("\n### {title}\n");
-    println!("{}", PcRow::table_header());
-    for row in rows {
-        println!("{}", row.to_table_line());
     }
 }
 
@@ -691,10 +379,6 @@ pub fn paper_workloads(
         // Not in the paper; sized so the fixed 256-bucket table sees real chains.
         (StructureKind::HashMap, false) => vec![100_000],
         (StructureKind::HashMap, true) => vec![4_096],
-        // Bags have no key range; the value doubles as the prefill budget (half of it
-        // is pushed before timing, mirroring the map harness's half-range prefill).
-        (StructureKind::Queue | StructureKind::Stack, false) => vec![4_096],
-        (StructureKind::Queue | StructureKind::Stack, true) => vec![512],
     };
     let mut out = Vec::new();
     for r in ranges {
@@ -728,8 +412,6 @@ fn sweep(
                         duration_ms,
                         prefill: true,
                         allocator,
-                        latency: false,
-                        laggard_stall_ms: 0,
                     };
                     rows.push(run_config(structure, reclaimer, &cfg, 0xDEB2A));
                 }
@@ -820,8 +502,6 @@ pub fn experiment_distribution(
                         duration_ms,
                         prefill: true,
                         allocator,
-                        latency: false,
-                        laggard_stall_ms: 0,
                     };
                     rows.push(run_config(structure, reclaimer, &cfg, 0x21BF));
                 }
@@ -856,8 +536,6 @@ pub fn memory_footprint(duration_ms: u64, small: bool) -> Vec<ExperimentRow> {
                 duration_ms,
                 prefill: true,
                 allocator,
-                latency: false,
-                laggard_stall_ms: 0,
             };
             rows.push(run_config(StructureKind::Bst, reclaimer, &cfg, 7));
         }
@@ -865,7 +543,7 @@ pub fn memory_footprint(duration_ms: u64, small: bool) -> Vec<ExperimentRow> {
     rows
 }
 
-/// Prints a set of rows as a markdown table (the format used in `EXPERIMENTS.md`).
+/// Prints a set of rows as a markdown table.
 pub fn print_rows(title: &str, rows: &[ExperimentRow]) {
     println!("\n### {title}\n");
     println!("{}", ExperimentRow::table_header());
@@ -1007,8 +685,6 @@ mod tests {
                 duration_ms: 20,
                 prefill: true,
                 allocator: AllocatorKind::BumpWithPool,
-                latency: false,
-                laggard_stall_ms: 0,
             };
             let row = run_config(StructureKind::Bst, reclaimer, &cfg, 1);
             assert!(row.result.operations > 0, "{reclaimer:?} produced no operations");
@@ -1030,8 +706,6 @@ mod tests {
                     duration_ms: 20,
                     prefill: true,
                     allocator: AllocatorKind::BumpWithPool,
-                    latency: false,
-                    laggard_stall_ms: 0,
                 };
                 let row = run_config(StructureKind::HashMap, reclaimer, &cfg, 1);
                 assert!(
@@ -1058,8 +732,6 @@ mod tests {
                 duration_ms: 20,
                 prefill: true,
                 allocator,
-                latency: false,
-                laggard_stall_ms: 0,
             };
             let row = run_config(StructureKind::SkipList, ReclaimerKind::Debra, &cfg, 3);
             assert!(row.result.operations > 0);
@@ -1071,51 +743,7 @@ mod tests {
     }
 
     #[test]
-    fn run_pc_config_smoke_queue_and_stack() {
-        for structure in [StructureKind::Queue, StructureKind::Stack] {
-            for scenario in [PcScenario::Symmetric, PcScenario::BurstyProducer { burst: 32 }] {
-                let cfg = PcConfig {
-                    threads: 2,
-                    scenario,
-                    enqueue_pct: 50,
-                    prefill: 64,
-                    duration_ms: 20,
-                    allocator: AllocatorKind::BumpWithPool,
-                    latency: false,
-                    laggard_stall_ms: 0,
-                };
-                let row = run_pc_config(structure, ReclaimerKind::Debra, &cfg, 9);
-                assert!(row.result.enqueues > 0, "{structure:?}/{scenario:?} enqueued nothing");
-                assert!(row.result.dequeues > 0, "{structure:?}/{scenario:?} dequeued nothing");
-                assert!(
-                    row.result.trial.reclaimer.retired > 0,
-                    "every successful dequeue must retire"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn run_config_routes_bags_through_the_pc_harness() {
-        let cfg = WorkloadConfig {
-            threads: 2,
-            key_range: 128,
-            mix: OperationMix::UPDATE_HEAVY,
-            distribution: KeyDistribution::Uniform,
-            duration_ms: 20,
-            prefill: true,
-            allocator: AllocatorKind::BumpWithPool,
-            latency: false,
-            laggard_stall_ms: 0,
-        };
-        let row = run_config(StructureKind::Queue, ReclaimerKind::Ebr, &cfg, 4);
-        assert!(row.result.operations > 0);
-        assert_eq!(row.mix, "50e-50d/sym", "the map mix maps onto the symmetric scenario");
-        assert!(row.result.reclaimer.retired > 0);
-    }
-
-    #[test]
-    fn summary_produces_four_lines() {
+    fn summary_produces_nine_lines() {
         let mut rows = Vec::new();
         for reclaimer in ReclaimerKind::ALL {
             let cfg = WorkloadConfig {
@@ -1126,8 +754,6 @@ mod tests {
                 duration_ms: 15,
                 prefill: true,
                 allocator: AllocatorKind::BumpWithPool,
-                latency: false,
-                laggard_stall_ms: 0,
             };
             rows.push(run_config(StructureKind::Bst, reclaimer, &cfg, 5));
         }

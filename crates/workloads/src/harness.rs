@@ -7,92 +7,20 @@
 //! * `run_trial_erased` — the actual trial body (prefill, thread spawning, timing,
 //!   operation loop), which works through the object-safe [`BenchHandle`] and therefore
 //!   **compiles exactly once** instead of once per (structure × reclaimer × pool ×
-//!   allocator) combination.  With 3 structures × 7 schemes × 3 memory configurations the
-//!   experiment dispatch macro expands to 63 combinations; duplicating the trial body into
-//!   each of them was pure compile-time waste (measured: ~14% of the crate's rebuild).
+//!   allocator) combination of the experiment dispatch tree (87 of them, see
+//!   `DESIGN.md` §3).
 //!
 //! The per-operation virtual call this introduces is one predictable indirect branch per
 //! map operation (each of which is itself tens to hundreds of instructions plus cache
 //! misses); the map operations themselves stay fully monomorphized.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 use debra::{PoolStats, ReclaimerStats};
 use lockfree_ds::ConcurrentMap;
-use smr_obs::{Clock, LatencyHistogram, LatencyReport, SampleRing, MAX_OP_KINDS};
 
 use crate::workload::{Operation, OperationGenerator, WorkloadConfig};
-
-/// Per-(thread × operation kind) reservoir capacity.  4096 × 8 bytes × 3 kinds = 96KB
-/// per worker, allocated before the start gate; the timed loop never allocates.
-pub(crate) const RING_CAPACITY: usize = 4096;
-
-/// Operation-sampling stride (power of two): each worker times one in every
-/// `SAMPLE_STRIDE` operations.  Timing *every* operation costs two `RDTSC` reads plus a
-/// ring write per op — on 100ns operations that alone is 20–40% overhead, which would
-/// make the recorded distribution a measurement of the measurement.  A fixed stride
-/// amortizes the cost ~64× (the on/off twin rows in `BENCH_latency.json` verify the
-/// residual) while still collecting thousands of samples per trial; the choice of which
-/// operation to time is independent of the operation itself, so the sampled
-/// distribution is unbiased.
-pub(crate) const SAMPLE_STRIDE: u64 = 64;
-
-/// A worker's recording state: one pre-allocated reservoir per operation kind, filled
-/// with raw clock ticks during the timed loop and drained into nanosecond histograms
-/// after the stop flag.  See the `smr-obs` crate docs for the recording discipline.
-pub(crate) struct ThreadRecorder {
-    clock: Clock,
-    rings: [SampleRing; MAX_OP_KINDS],
-}
-
-impl ThreadRecorder {
-    pub(crate) fn new(clock: Clock, seed: u64, tid: usize) -> Self {
-        let mk = |kind: u64| {
-            SampleRing::new(
-                RING_CAPACITY,
-                seed ^ (tid as u64).wrapping_mul(0xA24B_AED4_963E_E407) ^ kind,
-            )
-        };
-        ThreadRecorder { clock, rings: [mk(1), mk(2), mk(3)] }
-    }
-
-    /// Reads the raw clock (timed loop; no allocation/locks).
-    #[inline(always)]
-    pub(crate) fn now(&self) -> u64 {
-        self.clock.raw()
-    }
-
-    /// Records one operation of `kind` that started at raw timestamp `t0`.
-    #[inline(always)]
-    pub(crate) fn record(&self, kind: usize, t0: u64) {
-        self.rings[kind].record(self.now().wrapping_sub(t0));
-    }
-
-    /// Drains the reservoirs into the shared per-kind histograms (after the stop flag;
-    /// the one lock in the pipeline, taken once per worker per trial).
-    pub(crate) fn drain_into(&self, merged: &Mutex<[LatencyHistogram; MAX_OP_KINDS]>) {
-        let mut hists = merged.lock().expect("latency histograms poisoned");
-        for (kind, ring) in self.rings.iter().enumerate() {
-            for raw in ring.samples() {
-                hists[kind].record(self.clock.delta_to_ns(raw));
-            }
-        }
-    }
-}
-
-/// Builds the trial-level [`LatencyReport`] from the merged per-kind histograms.
-pub(crate) fn report_from(merged: Mutex<[LatencyHistogram; MAX_OP_KINDS]>) -> LatencyReport {
-    let hists = merged.into_inner().expect("latency histograms poisoned");
-    let mut all = LatencyHistogram::new();
-    let mut per_kind = [smr_obs::LatencySummary::default(); MAX_OP_KINDS];
-    for (kind, h) in hists.iter().enumerate() {
-        per_kind[kind] = h.summary();
-        all.merge(h);
-    }
-    LatencyReport { enabled: true, per_kind, all: all.summary() }
-}
 
 /// The outcome of one timed trial, in the units the paper reports.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
@@ -113,10 +41,6 @@ pub struct TrialResult {
     /// Allocation-pipeline statistics (magazine hits/misses, page store gauges) at the
     /// end of the trial; all-zero for pools that keep no counters.
     pub pool: PoolStats,
-    /// Sampled per-operation latency quantiles (all-zero with `enabled == false` when
-    /// the trial ran with [`WorkloadConfig::latency`] off).  Map kinds: 0 = insert,
-    /// 1 = delete, 2 = search.  Bag kinds: 0 = enqueue, 1 = dequeue, 2 = empty dequeue.
-    pub latency: LatencyReport,
 }
 
 /// Object-safe per-thread view of a map under test: one registered worker handle bound to
@@ -216,24 +140,18 @@ fn run_trial_erased<'m>(
     let started = AtomicU64::new(0);
     let total_ops = AtomicU64::new(0);
     let start_gate = AtomicBool::new(false);
-    // One clock calibration per trial, shared by every worker's recorder; the merge
-    // target is locked only after the stop flag (drain time), never in the timed loop.
-    let clock = cfg.latency.then(Clock::new);
-    let merged: Mutex<[LatencyHistogram; MAX_OP_KINDS]> = Mutex::new(Default::default());
 
     let timed = std::thread::scope(|scope| {
+        let mut workers = Vec::with_capacity(cfg.threads);
         for tid in 0..cfg.threads {
             let stop = &stop;
             let started = &started;
             let total_ops = &total_ops;
             let start_gate = &start_gate;
-            let merged = &merged;
             let cfg = *cfg;
-            scope.spawn(move || {
+            workers.push(scope.spawn(move || {
                 let mut handle = factory(tid);
                 let mut gen = OperationGenerator::new(&cfg, tid, seed);
-                // Rings are pre-allocated here, before the start gate.
-                let recorder = clock.map(|c| ThreadRecorder::new(c, seed, tid));
                 started.fetch_add(1, Ordering::SeqCst);
                 while !start_gate.load(Ordering::Acquire) {
                     // Yield, don't just spin: with more workers than cores (always, on the
@@ -242,56 +160,22 @@ fn run_trial_erased<'m>(
                     std::thread::yield_now();
                 }
                 let mut ops = 0u64;
-                // Two loop bodies so the recording-off path carries literally zero
-                // recording code (the on/off twin rows in BENCH_latency.json measure
-                // the difference).
-                if let Some(rec) = &recorder {
-                    // Stagger the stride phase across workers so they do not all read
-                    // the TSC on the same beat.
-                    let mut tick = tid as u64;
-                    while !stop.load(Ordering::Relaxed) {
-                        let op = gen.next_op();
-                        let timed = tick & (SAMPLE_STRIDE - 1) == 0;
-                        tick = tick.wrapping_add(1);
-                        let t0 = if timed { rec.now() } else { 0 };
-                        let kind = match op {
-                            Operation::Insert(k) => {
-                                handle.insert(k, k);
-                                0
-                            }
-                            Operation::Delete(k) => {
-                                handle.remove(k);
-                                1
-                            }
-                            Operation::Search(k) => {
-                                handle.contains(k);
-                                2
-                            }
-                        };
-                        if timed {
-                            rec.record(kind, t0);
+                while !stop.load(Ordering::Relaxed) {
+                    match gen.next_op() {
+                        Operation::Insert(k) => {
+                            handle.insert(k, k);
                         }
-                        ops += 1;
-                    }
-                    rec.drain_into(merged);
-                } else {
-                    while !stop.load(Ordering::Relaxed) {
-                        match gen.next_op() {
-                            Operation::Insert(k) => {
-                                handle.insert(k, k);
-                            }
-                            Operation::Delete(k) => {
-                                handle.remove(k);
-                            }
-                            Operation::Search(k) => {
-                                handle.contains(k);
-                            }
+                        Operation::Delete(k) => {
+                            handle.remove(k);
                         }
-                        ops += 1;
+                        Operation::Search(k) => {
+                            handle.contains(k);
+                        }
                     }
+                    ops += 1;
                 }
                 total_ops.fetch_add(ops, Ordering::SeqCst);
-            });
+            }));
         }
 
         // Wait for all workers to have registered, then time the run.
@@ -302,7 +186,23 @@ fn run_trial_erased<'m>(
         start_gate.store(true, Ordering::Release);
         std::thread::sleep(Duration::from_millis(cfg.duration_ms));
         stop.store(true, Ordering::SeqCst);
-        begin.elapsed()
+        let elapsed = begin.elapsed();
+        // Keep retiring from this thread until every worker has left its loop.  VBR moves
+        // its clock only on retires, and a VBR reader refused by `protect` one tick past
+        // its snapshot spins inside its operation until the clock moves again
+        // (`benchmark/README.md`, "Known livelock"); once the other workers have stopped,
+        // nothing else would move it.  These operations are not counted.
+        let running = || workers.iter().any(|w| !w.is_finished());
+        if running() {
+            let mut handle = factory(cfg.threads);
+            let mut gen = OperationGenerator::new(cfg, cfg.threads, seed ^ 0x5EED);
+            while running() {
+                let key = gen.next_uniform_key();
+                handle.insert(key, key);
+                handle.remove(key);
+            }
+        }
+        elapsed
         // scope joins all workers here
     });
 
@@ -317,7 +217,6 @@ fn run_trial_erased<'m>(
         allocated_bytes,
         allocated_records,
         pool: pool_stats(),
-        latency: if cfg.latency { report_from(merged) } else { LatencyReport::default() },
     }
 }
 
@@ -345,8 +244,6 @@ mod tests {
             duration_ms: 50,
             prefill: true,
             allocator: crate::experiments::AllocatorKind::SystemWithPool,
-            latency: true,
-            laggard_stall_ms: 0,
         };
         // Worker threads use tids 0..threads; prefill reuses tid 0 before workers start.
         let result = run_trial(
@@ -368,17 +265,6 @@ mod tests {
         assert!(result.duration_secs > 0.04);
         assert!(result.allocated_records > 0);
         assert!(result.reclaimer.operations > 0);
-        // Latency recording was on: the report must carry ordered, populated quantiles.
-        assert!(result.latency.enabled);
-        let all = result.latency.all;
-        assert!(all.count > 0, "recording produced no samples");
-        assert!(all.p50_ns <= all.p99_ns && all.p99_ns <= all.p999_ns);
-        assert!(all.p999_ns <= all.max_ns);
-        let sampled: u64 = result.latency.per_kind.iter().map(|s| s.count).sum();
-        assert_eq!(sampled, all.count, "per-kind summaries must partition the samples");
-        // 50i-50d: inserts and deletes must both have been sampled.
-        assert!(result.latency.per_kind[0].count > 0);
-        assert!(result.latency.per_kind[1].count > 0);
     }
 
     #[test]
@@ -393,8 +279,6 @@ mod tests {
             duration_ms: 40,
             prefill: true,
             allocator: crate::experiments::AllocatorKind::SystemWithPool,
-            latency: false,
-            laggard_stall_ms: 0,
         };
         let result = run_trial(
             &list,

@@ -10,16 +10,14 @@
 //!
 //! * [`workload`] — operation mixes, key ranges and the per-thread operation generator.
 //! * [`harness`] — the generic timed-trial driver over any [`lockfree_ds::ConcurrentMap`].
-//! * [`pc`] — the producer/consumer trial family over any [`lockfree_ds::ConcurrentBag`]
-//!   (queue, stack): symmetric and bursty-producer scenarios, pair-rate metric.
 //! * [`experiments`] — one driver per paper experiment (Experiment 1, 2, 2-oversubscribed,
 //!   3, the memory-footprint figure and the headline summary), each parameterized over
 //!   data structure × reclaimer × pool × allocator.
 //! * [`figure2`] — regenerates the qualitative scheme-comparison table (paper, Figure 2)
 //!   from the `SchemeProperties` reported by every implemented reclaimer.
-//! * [`oversub`] — the oversubscribed latency / bounded-memory family (`-- oversub`):
-//!   recording-overhead twins, 4×-cores thread counts with a pinned laggard, per-scheme
-//!   tail latency + limbo watermarks, `BENCH_latency.json`.
+//!
+//! Performance claims are not judged here: the repo's benchmark (`benchmark/`) measures
+//! throughput, latency and limbo from outside the program.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
@@ -27,8 +25,6 @@
 pub mod experiments;
 pub mod figure2;
 pub mod harness;
-pub mod oversub;
-pub mod pc;
 #[cfg(feature = "smr_sanitize")]
 pub mod sanitize;
 pub mod workload;
@@ -37,5 +33,4 @@ pub use experiments::{
     allocator_from_env, AllocatorKind, ExperimentRow, ReclaimerKind, StructureKind,
 };
 pub use harness::{run_trial, BenchHandle, TrialResult};
-pub use pc::{run_pc_trial, BagBenchHandle, PcConfig, PcScenario, PcTrialResult};
 pub use workload::{KeyDistribution, OperationMix, WorkloadConfig};

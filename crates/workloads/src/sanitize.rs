@@ -4,11 +4,12 @@
 //!
 //! This is not a performance family — the shadow table serializes every lifecycle event
 //! behind a global lock — so it runs a *short* sweep: every reclamation scheme over the
-//! keyed structures plus the queue/stack pair, then prints the sanitizer's report
+//! three keyed structures (BST, skip list, hash map), then prints the sanitizer's report
 //! (per-kind violation counts and the teardown leak gauge).  CI's nightly deep-stress
 //! job tees this output into an artifact; any non-zero count is a protocol violation
 //! that the regular (unsanitized) stress runs could only surface as a crash or silent
-//! corruption.
+//! corruption.  The queue and stack are covered on every CI run by the clean-run rows of
+//! `tests/sanitizer.rs`.
 //!
 //! Only compiled with `--features smr_sanitize`; the subcommand reports its absence
 //! otherwise.
@@ -40,13 +41,7 @@ const KINDS: [ViolationKind; 13] = [
 /// of violations observed (the binary turns a non-zero total into a failing exit code).
 pub fn run_sanitized_sweep(duration_ms: u64, threads: usize) -> u64 {
     let before = total_violations();
-    let structures = [
-        StructureKind::Bst,
-        StructureKind::SkipList,
-        StructureKind::HashMap,
-        StructureKind::Queue,
-        StructureKind::Stack,
-    ];
+    let structures = [StructureKind::Bst, StructureKind::SkipList, StructureKind::HashMap];
     let trials = structures.len() * ReclaimerKind::ALL.len();
     println!(
         "\n### Sanitized sweep — {trials} trials ({} structures x {} schemes, \
@@ -62,8 +57,6 @@ pub fn run_sanitized_sweep(duration_ms: u64, threads: usize) -> u64 {
         duration_ms,
         prefill: true,
         allocator: allocator_from_env(AllocatorKind::BumpWithPool),
-        latency: false,
-        laggard_stall_ms: 0,
     };
     let mut seed = 1;
     for structure in structures {

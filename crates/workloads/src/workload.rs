@@ -86,17 +86,6 @@ pub struct WorkloadConfig {
     pub prefill: bool,
     /// Memory configuration (allocator + pool) the Record Manager is composed with.
     pub allocator: AllocatorKind,
-    /// Whether workers record per-operation latency (sample rings draining into the
-    /// trial's [`smr_obs::LatencyReport`]).  Off by default: throughput rows stay
-    /// comparable with earlier sweeps, and the on/off twin rows in `BENCH_latency.json`
-    /// quantify the recording overhead.
-    pub latency: bool,
-    /// When nonzero, the experiment drivers pin a *laggard* next to the workers: an
-    /// extra registered thread that holds operations open for windows of this many
-    /// milliseconds (responding to neutralization, like the DEBRA+ fault-tolerance
-    /// tests).  This forces the preempted-reader regime of the paper's Figure 9 without
-    /// depending on the OS scheduler to preempt at the right moment.
-    pub laggard_stall_ms: u64,
 }
 
 impl Default for WorkloadConfig {
@@ -109,8 +98,6 @@ impl Default for WorkloadConfig {
             duration_ms: 200,
             prefill: true,
             allocator: AllocatorKind::BumpWithPool,
-            latency: false,
-            laggard_stall_ms: 0,
         }
     }
 }

@@ -1,7 +1,8 @@
 //! Umbrella crate for the DEBRA / DEBRA+ reproduction workspace.
 //!
-//! Re-exports the individual crates so that examples and integration tests can use a single
-//! dependency.  See the workspace `README.md` and `DESIGN.md` for the architecture.
+//! Re-exports the library crates so that examples and integration tests can use a single
+//! dependency.  The paper's experiment driver is the separate `smr-workloads` crate.  See
+//! the workspace `README.md` and `DESIGN.md` for the architecture.
 
 pub use blockbag;
 pub use debra;
@@ -18,4 +19,3 @@ pub use smr_ibr;
 pub use smr_pagepool;
 pub use smr_queue;
 pub use smr_vbr;
-pub use smr_workloads;

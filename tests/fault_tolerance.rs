@@ -7,7 +7,9 @@
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
-use debra_repro::debra::{CountingSink, Debra, DebraPlus, ReclaimSink, Reclaimer, ReclaimerThread};
+use debra_repro::debra::{
+    CountingSink, Debra, DebraPlus, ReclaimSink, Reclaimer, ReclaimerStats, ReclaimerThread,
+};
 use std::ptr::NonNull;
 
 struct FreeSink;
@@ -18,9 +20,8 @@ impl ReclaimSink<u64> for FreeSink {
     }
 }
 
-/// Runs the stalled-thread scenario and returns (peak pending, total reclaimed,
-/// neutralizations).
-fn run_with_staller<R: Reclaimer<u64>>(retires: u64) -> (u64, u64, u64) {
+/// Runs the stalled-thread scenario and returns (peak pending, final statistics).
+fn run_with_staller<R: Reclaimer<u64>>(retires: u64) -> (u64, ReclaimerStats) {
     let global = Arc::new(R::new(2));
     let stop = Arc::new(AtomicBool::new(false));
     let started = Arc::new(AtomicBool::new(false));
@@ -72,13 +73,14 @@ fn run_with_staller<R: Reclaimer<u64>>(retires: u64) -> (u64, u64, u64) {
         // SAFETY: orphans are the leaked test records, now exclusively owned.
         unsafe { drop(Box::from_raw(r.as_ptr())) };
     }
-    (peak, stats.reclaimed, stats.neutralized)
+    (peak, stats)
 }
 
 #[test]
 fn debra_cannot_reclaim_past_a_stalled_thread() {
     let retires = 50_000;
-    let (peak, reclaimed, _) = run_with_staller::<Debra<u64>>(retires);
+    let (peak, stats) = run_with_staller::<Debra<u64>>(retires);
+    let reclaimed = stats.reclaimed;
     // The stalled thread pins the epoch: (almost) everything stays in limbo.
     assert!(reclaimed < retires / 10, "DEBRA should reclaim (almost) nothing, got {reclaimed}");
     assert!(peak > retires / 2, "garbage should grow with the workload, peak was {peak}");
@@ -87,12 +89,20 @@ fn debra_cannot_reclaim_past_a_stalled_thread() {
 #[test]
 fn debra_plus_neutralizes_and_bounds_garbage() {
     let retires = 50_000;
-    let (peak, reclaimed, neutralized) = run_with_staller::<DebraPlus<u64>>(retires);
-    assert!(neutralized > 0, "the stalled thread must be neutralized at least once");
+    let (peak, stats) = run_with_staller::<DebraPlus<u64>>(retires);
+    let reclaimed = stats.reclaimed;
+    assert!(stats.neutralized > 0, "the stalled thread must be neutralized at least once");
     assert!(reclaimed > retires / 2, "most records should be reclaimed, got {reclaimed}");
     // The paper's bound is O(c + nm) per thread; with default configuration that is a few
     // thousand records — far below the 50k that an unbounded scheme would accumulate.
     assert!(peak < retires / 4, "garbage should stay bounded under DEBRA+, peak was {peak}");
+    // The same bound in bytes, read from the limbo watermark instead of sampled `pending`:
+    // the watermark sees every peak, not just the ones a 1-in-1000 sample lands on.
+    let hwm = stats.limbo_bytes_hwm;
+    assert!(hwm > 0, "retired records must show up in the limbo-bytes watermark");
+    let bound = (retires / 4) * std::mem::size_of::<u64>() as u64;
+    assert!(hwm < bound, "DEBRA+ limbo watermark {hwm} B exceeded {bound} B");
+    assert!(hwm >= stats.limbo_bytes, "a high watermark never sits below the final gauge");
 }
 
 #[test]
@@ -100,7 +110,7 @@ fn debra_plus_overhead_of_fault_tolerance_is_reasonable() {
     // Not a performance assertion (CI machines vary), just a sanity check that both finish
     // the same amount of work and produce consistent accounting.
     let retires = 20_000;
-    let (_, reclaimed_plus, _) = run_with_staller::<DebraPlus<u64>>(retires);
-    let stats_ok = reclaimed_plus <= retires;
+    let (_, stats) = run_with_staller::<DebraPlus<u64>>(retires);
+    let stats_ok = stats.reclaimed <= retires;
     assert!(stats_ok);
 }

@@ -13,8 +13,9 @@
 //! 3. **Teardown leak**: a published record never retired is reported when its Record
 //!    Manager is torn down.
 //!
-//! The clean-run test is the other half of the contract: a correct workload under every
-//! scheme must produce **zero** reports (no false positives).
+//! The clean-run tests are the other half of the contract: a correct workload under every
+//! scheme must produce **zero** reports (no false positives) — the Harris–Michael list,
+//! the Michael–Scott queue and the Treiber stack, each under all eight schemes.
 //!
 //! The sanitizer's counters and shadow table are process-global, so every test
 //! serializes on [`LOCK`] and asserts on counter *deltas*.
@@ -29,12 +30,13 @@ use check::ViolationKind;
 use debra_repro::debra::{
     Allocator as _, Atomic, Debra, DebraPlus, Domain, Pool as _, RecordManager, Shared,
 };
-use debra_repro::lockfree_ds::{ConcurrentMap, HarrisMichaelList, ListNode};
+use debra_repro::lockfree_ds::{ConcurrentBag, ConcurrentMap, HarrisMichaelList, ListNode};
 use debra_repro::smr_alloc::{SystemAllocator, ThreadPool};
 use debra_repro::smr_baselines::{ClassicEbr, HazardPointers, HpConfig, NoReclaim, ThreadScanLite};
 use debra_repro::smr_check as check;
 use debra_repro::smr_ibr::Ibr;
 use debra_repro::smr_pagepool::{PageAllocator, PagePool};
+use debra_repro::smr_queue::{MsQueue, QueueNode, StackNode, TreiberStack};
 use debra_repro::smr_vbr::Vbr;
 
 /// Serializes the tests: the shadow table, violation counters and panic-mode switch are
@@ -235,63 +237,135 @@ const STRESS_THREADS: usize = 4;
 const STRESS_OPS: u64 = 2_000;
 
 /// Clean-run half of the mutation contract: a correct workload must be report-free under
-/// every scheme.  Runs the Harris-Michael list stress (insert/remove/get mix) with the
-/// sanitizer shadowing every record and asserts a zero violation delta.
+/// every scheme.  Drives `structure` from [`STRESS_THREADS`] workers, each running
+/// [`STRESS_OPS`] steps of `step` fed by a per-thread LCG stream, then drops the
+/// structure (its teardown frees are shadowed too) and asserts a zero violation delta.
+fn assert_clean_stress<S: Sync, H>(
+    structure: S,
+    register: impl Fn(&S) -> H + Sync,
+    step: impl Fn(&S, &mut H, u64) + Sync,
+) {
+    let _serial = locked();
+    let before = check::total_violations();
+    std::thread::scope(|scope| {
+        for tid in 0..STRESS_THREADS {
+            let (structure, register, step) = (&structure, &register, &step);
+            scope.spawn(move || {
+                let mut handle = register(structure);
+                let mut x: u64 = 0x5851_F42D_4C95_7F2D ^ ((tid as u64) << 13);
+                for _ in 0..STRESS_OPS {
+                    x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+                    step(structure, &mut handle, x);
+                }
+            });
+        }
+    });
+    drop(structure);
+
+    assert_eq!(
+        check::total_violations() - before,
+        0,
+        "a correct workload must produce zero sanitizer reports"
+    );
+}
+
+/// The map rows: an insert/remove/get mix over 64 keys.
+fn clean_map_stress<M: ConcurrentMap<u64, u64>>(map: M) {
+    assert_clean_stress(
+        map,
+        |map| map.register().expect("register worker"),
+        |map, handle, x| {
+            let key = (x >> 33) % 64;
+            match (x >> 61) % 4 {
+                0 | 1 => {
+                    let _ = map.insert(handle, key, key);
+                }
+                2 => {
+                    let _ = map.remove(handle, &key);
+                }
+                _ => {
+                    let _ = map.get(handle, &key);
+                }
+            }
+        },
+    );
+}
+
+/// The bag rows: 5/8 pushes, so pops rarely find the bag empty and nearly every pop
+/// retires a record — the retire-per-operation regime no map mix reaches.
+fn clean_bag_stress<B: ConcurrentBag<u64>>(bag: B) {
+    assert_clean_stress(
+        bag,
+        |bag| bag.register().expect("register worker"),
+        |bag, handle, x| {
+            if (x >> 61) < 5 {
+                bag.push(handle, x);
+            } else {
+                let _ = bag.pop(handle);
+            }
+        },
+    );
+}
+
+type List<R, P, A> = HarrisMichaelList<u64, u64, R, P, A>;
+type Queue<R, P, A> = MsQueue<u64, R, P, A>;
+type Stack<R, P, A> = TreiberStack<u64, R, P, A>;
+
+/// One `#[test]` per scheme for a structure: `driver` is `clean_map_stress` or
+/// `clean_bag_stress`, `ds` one of the aliases above, `node` its record type.
 macro_rules! clean_stress {
-    ($($name:ident: $reclaimer:ty,)+) => {$(
-        clean_stress!(@one $name, $reclaimer, ThreadPool, SystemAllocator);
+    ($driver:ident, $ds:ident, $node:ty; $($name:ident: $reclaimer:ident,)+) => {$(
+        clean_stress!(@one $driver, $ds, $node, $name, $reclaimer, ThreadPool, SystemAllocator);
     )+};
-    (@one $name:ident, $reclaimer:ty, $pool:ident, $alloc:ident) => {
+    (@one $driver:ident, $ds:ident, $node:ty, $name:ident, $reclaimer:ident, $pool:ident,
+     $alloc:ident) => {
         #[test]
         fn $name() {
-            let _serial = locked();
-            let before = check::total_violations();
-
-            type Node = ListNode<u64, u64>;
-            type Map = HarrisMichaelList<u64, u64, $reclaimer, $pool<Node>, $alloc<Node>>;
+            type Node = $node;
             let manager = Arc::new(RecordManager::new(STRESS_THREADS + 1));
-            let map: Arc<Map> = Arc::new(HarrisMichaelList::new(Arc::clone(&manager)));
-            let mut joins = Vec::new();
-            for tid in 0..STRESS_THREADS {
-                let map = Arc::clone(&map);
-                joins.push(std::thread::spawn(move || {
-                    let mut handle = map.register().expect("register worker");
-                    let mut x: u64 = 0x5851_F42D_4C95_7F2D ^ ((tid as u64) << 13);
-                    for _ in 0..STRESS_OPS {
-                        x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-                        let key = (x >> 33) % 64;
-                        match (x >> 61) % 4 {
-                            0 | 1 => { let _ = map.insert(&mut handle, key, key); }
-                            2 => { let _ = map.remove(&mut handle, &key); }
-                            _ => { let _ = map.get(&mut handle, &key); }
-                        }
-                    }
-                }));
-            }
-            for j in joins {
-                j.join().expect("stress worker must not crash");
-            }
-            drop(map);
-
-            assert_eq!(
-                check::total_violations() - before,
-                0,
-                "a correct workload must produce zero sanitizer reports"
-            );
+            $driver(<$ds<$reclaimer<Node>, $pool<Node>, $alloc<Node>>>::new(manager));
         }
     };
 }
 
 clean_stress! {
-    clean_stress_none: NoReclaim<Node>,
-    clean_stress_ebr: ClassicEbr<Node>,
-    clean_stress_hazard_pointers: HazardPointers<Node>,
-    clean_stress_threadscan: ThreadScanLite<Node>,
-    clean_stress_debra: Debra<Node>,
-    clean_stress_debra_plus: DebraPlus<Node>,
-    clean_stress_ibr: Ibr<Node>,
+    clean_map_stress, List, ListNode<u64, u64>;
+    clean_stress_none: NoReclaim,
+    clean_stress_ebr: ClassicEbr,
+    clean_stress_hazard_pointers: HazardPointers,
+    clean_stress_threadscan: ThreadScanLite,
+    clean_stress_debra: Debra,
+    clean_stress_debra_plus: DebraPlus,
+    clean_stress_ibr: Ibr,
+}
+
+clean_stress! {
+    clean_bag_stress, Queue, QueueNode<u64>;
+    clean_stress_queue_none: NoReclaim,
+    clean_stress_queue_ebr: ClassicEbr,
+    clean_stress_queue_hazard_pointers: HazardPointers,
+    clean_stress_queue_threadscan: ThreadScanLite,
+    clean_stress_queue_debra: Debra,
+    clean_stress_queue_debra_plus: DebraPlus,
+    clean_stress_queue_ibr: Ibr,
+}
+
+clean_stress! {
+    clean_bag_stress, Stack, StackNode<u64>;
+    clean_stress_stack_none: NoReclaim,
+    clean_stress_stack_ebr: ClassicEbr,
+    clean_stress_stack_hazard_pointers: HazardPointers,
+    clean_stress_stack_threadscan: ThreadScanLite,
+    clean_stress_stack_debra: Debra,
+    clean_stress_stack_debra_plus: DebraPlus,
+    clean_stress_stack_ibr: Ibr,
 }
 
 // VBR composes only with the type-stable page pool; the validation-aware shadow model
 // (`Revived` + excused stale derefs) must keep a clean VBR run report-free.
-clean_stress!(@one clean_stress_vbr, Vbr<Node>, PagePool, PageAllocator);
+clean_stress!(@one clean_map_stress, List, ListNode<u64, u64>, clean_stress_vbr, Vbr, PagePool,
+    PageAllocator);
+clean_stress!(@one clean_bag_stress, Queue, QueueNode<u64>, clean_stress_queue_vbr, Vbr,
+    PagePool, PageAllocator);
+clean_stress!(@one clean_bag_stress, Stack, StackNode<u64>, clean_stress_stack_vbr, Vbr,
+    PagePool, PageAllocator);
