@@ -7,21 +7,21 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 use crossbeam_utils::CachePadded;
-use debra::{Allocator, AllocatorThread};
+use debra::{Allocator, AllocatorThread, Headed};
 
 /// Approximate number of bytes per arena chunk.
 const CHUNK_BYTES: usize = 1 << 20; // 1 MiB
 
-/// One contiguous slab of uninitialized records.
+/// One contiguous slab of uninitialized record slots (header + value each).
 struct Chunk<T> {
-    storage: Box<[MaybeUninit<T>]>,
+    storage: Box<[MaybeUninit<Headed<T>>]>,
     used: usize,
 }
 
 impl<T> Chunk<T> {
     fn new(records: usize) -> Self {
         let mut v = Vec::with_capacity(records);
-        // SAFETY: MaybeUninit<T> does not require initialization; set_len within capacity.
+        // SAFETY: MaybeUninit slots need no initialization; set_len within capacity.
         unsafe { v.set_len(records) };
         Chunk { storage: v.into_boxed_slice(), used: 0 }
     }
@@ -34,11 +34,13 @@ impl<T> Chunk<T> {
         if self.is_full() {
             return None;
         }
-        let slot = &mut self.storage[self.used];
+        let slot = self.storage[self.used].as_mut_ptr();
         self.used += 1;
-        slot.write(value);
-        // SAFETY: the slot was just initialized and lives as long as the chunk.
-        Some(unsafe { NonNull::new_unchecked(slot.as_mut_ptr()) })
+        // SAFETY: the slot is in bounds, unused, and lives as long as the chunk.
+        unsafe {
+            slot.write(Headed::new(value));
+            Some(Headed::value_ptr(NonNull::new_unchecked(slot)))
+        }
     }
 }
 
@@ -81,7 +83,7 @@ impl<T: Send + 'static> Allocator<T> for BumpAllocator<T> {
 
     fn new(max_threads: usize) -> Self {
         assert!(max_threads > 0);
-        let record_size = std::mem::size_of::<T>().max(1);
+        let record_size = std::mem::size_of::<Headed<T>>();
         BumpAllocator {
             per_thread: (0..max_threads).map(|_| CachePadded::new(Counters::default())).collect(),
             parked_chunks: Mutex::new(Vec::new()),

@@ -6,12 +6,15 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use crossbeam_utils::CachePadded;
-use debra::{Allocator, AllocatorThread};
+use debra::{Allocator, AllocatorThread, Headed};
 
 /// An [`Allocator`] that obtains every record with an individual heap allocation
 /// (`Box::new`) and frees it with an individual deallocation — the configuration of the
 /// paper's Experiment 3, where the cost of `malloc` dominates and compresses the relative
 /// differences between reclamation schemes.
+///
+/// Each allocation is a [`Headed<T>`]: the record header, then the value; the pointer
+/// handed out is the value's.
 pub struct SystemAllocator<T> {
     per_thread: Box<[CachePadded<Counters>]>,
     _marker: std::marker::PhantomData<fn(T)>,
@@ -74,13 +77,13 @@ impl<T: Send + 'static> AllocatorThread<T> for SystemAllocatorThread<T> {
         let counters = self.global.counters(self.tid);
         counters.bytes.fetch_add(std::mem::size_of::<T>() as u64, Ordering::Relaxed);
         counters.records.fetch_add(1, Ordering::Relaxed);
-        NonNull::from(Box::leak(Box::new(value)))
+        Headed::boxed(value)
     }
 
     unsafe fn deallocate(&mut self, record: NonNull<T>) {
         // SAFETY: per the trait contract the record was allocated by `allocate` above
-        // (a leaked box), is exclusively owned, and is not used again.
-        drop(unsafe { Box::from_raw(record.as_ptr()) });
+        // (a leaked headed box), is exclusively owned, and is not used again.
+        unsafe { Headed::drop_boxed(record) };
     }
 }
 

@@ -68,6 +68,7 @@ pub mod config;
 pub mod debra;
 pub mod debra_plus;
 pub mod guard;
+pub mod header;
 pub mod properties;
 pub mod record_manager;
 pub mod rprotect;
@@ -81,6 +82,7 @@ pub use crate::debra_plus::{DebraPlus, DebraPlusThread};
 pub use crate::guard::{
     Domain, DomainHandle, Guard, Protected, Recovery, Restart, Shield, ShieldSet,
 };
+pub use crate::header::{header_of, Headed, RecordHeader};
 pub use crate::properties::{CodeModifications, SchemeProperties, Termination, TimingAssumptions};
 pub use crate::record_manager::{OpGuard, RecordManager, RecordManagerThread};
 pub use crate::rprotect::RProtectArray;

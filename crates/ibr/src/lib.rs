@@ -8,19 +8,17 @@
 //! parameter:
 //!
 //! * A **global era clock** advances every [`IbrConfig::era_freq`] allocations/retirements.
-//! * Every record carries a **birth era** (tagged on allocation, via the Record Manager's
+//! * Every record carries a **birth era** (stamped on allocation, via the Record Manager's
 //!   [`record_allocated`](ReclaimerThread::record_allocated) hook) and a **retire era**
-//!   (tagged on [`retire`](ReclaimerThread::retire)); together they form the record's
+//!   (stamped on [`retire`](ReclaimerThread::retire)); together they form the record's
 //!   *lifetime interval* `[birth, retire]`.
 //! * Every thread publishes a **reservation interval** `[lower, upper]`:
 //!   [`leave_qstate`](ReclaimerThread::leave_qstate) sets both bounds to the current era,
 //!   and each [`check`](ReclaimerThread::check) / [`protect`](ReclaimerThread::protect)
 //!   checkpoint extends `upper` to the era observed there.
 //! * A retired record is handed to the [`ReclaimSink`] only when its lifetime interval is
-//!   **disjoint from every active reservation** — the 2GEIBR test.  Retired records wait
-//!   in a `blockbag` limbo bag; the scan uses
-//!   `partition_and_take_full_blocks` so whole blocks of freeable records move to the pool
-//!   in O(1) per block, exactly like DEBRA+'s filtered rotation.
+//!   **disjoint from every active reservation** — the 2GEIBR test — and then in whole
+//!   blocks, so records move to the pool in O(1) per block, exactly like DEBRA's rotation.
 //!
 //! The decisive property over plain EBR/DEBRA: a **stalled thread only pins records whose
 //! lifetime overlaps its reservation**.  Records born after the straggler's reservation
@@ -53,6 +51,32 @@
 //! already unlinked, so the opening thread cannot reach it; reads of a reservation being
 //! *closed* only make the scan more conservative.)
 //!
+//! # The scan re-tests only what can have become free
+//!
+//! A thread's retired records sit in one of three places:
+//!
+//! * **limbo** — retired since the last scan, not yet tested;
+//! * **held** — survivors of a scan, filed under the reservation that pinned them:
+//!   group `u` holds records whose interval overlapped thread `u`'s reservation while its
+//!   lower bound was the group's `lower`;
+//! * **ready** — records a scan found disjoint from every reservation.  Freeing them at
+//!   once would have been safe, so holding them until a block fills is too.
+//!
+//! Every [`IbrConfig::scan_freq`] retires, a scan snapshots the reservations into a
+//! buffer the thread allocated at registration, tests the limbo records, and re-tests a
+//! held group only if its reservation has closed or re-opened at another lower bound.
+//! That is sound because a reservation whose lower bound is unchanged can only have
+//! widened: `leave_qstate` re-opening at the same `lower` means the era has not moved
+//! past `lower` since, so the old `upper` was `lower` too.  A group whose reservation
+//! still stands therefore still overlaps every record in it, and testing it again could
+//! free nothing.  A survivor is filed under the overlapping reservation with the smallest
+//! lower bound — the oldest, so the one likeliest to stay open — and under another
+//! thread's rather than this thread's own on a tie.
+//!
+//! Under a stalled reader the scan's work is thus proportional to the records retired
+//! since the last scan, not to the backlog the laggard pins; the backlog is re-tested
+//! once, when the laggard's operation ends.
+//!
 //! # Era wraparound
 //!
 //! Eras are 64-bit and advance at most once per `era_freq` record operations, so physical
@@ -61,30 +85,30 @@
 //! then intersects every reservation) but safety is preserved.  See
 //! `era_saturates_instead_of_wrapping` in the test module.
 //!
-//! # Implementation note: the interval side table
+//! # Implementation note: the era words live in the record header
 //!
-//! Production IBR implementations embed the era tags in a per-record header.  The Record
-//! Manager deliberately keeps records opaque (`T` is the data structure's node type), so
-//! this implementation stores intervals in a sharded address-keyed side table.  Tagging is
-//! O(1) (one shard lock, uncontended in the common case); the table is bounded by the peak
-//! number of distinct record addresses because a recycled record simply overwrites its
-//! entry on the next allocation.  Swapping the side table for an intrusive header is a
-//! known optimization, not a semantic change.
+//! Birth and retire eras are the two words of the [`RecordHeader`](debra::RecordHeader)
+//! every allocator of the workspace places in front of a record ([`header_of`]), as
+//! production IBR and the VBR paper keep them in the node itself.  Stamping is one atomic
+//! store and the scan's test one pair of loads: no table, no hashing, no lock, so no
+//! thread can block another inside `record_allocated`, `retire` or a scan.  A header
+//! nobody has stamped reads `birth = 0, retire = u64::MAX`, the interval that overlaps
+//! every reservation; `record_allocated` stamps `birth` on every allocation, fresh or
+//! recycled, and the retire word is read only after `retire` has stamped it.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-use std::collections::HashMap;
 use std::fmt;
 use std::ptr::NonNull;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 use blockbag::BlockBag;
 use crossbeam_utils::CachePadded;
 use debra::{
-    CodeModifications, ReclaimSink, Reclaimer, ReclaimerStats, ReclaimerThread, RegistrationError,
-    SchemeProperties, Termination, ThreadStatsSlot, TimingAssumptions,
+    header_of, CodeModifications, ReclaimSink, Reclaimer, ReclaimerStats, ReclaimerThread,
+    RegistrationError, SchemeProperties, Termination, ThreadStatsSlot, TimingAssumptions,
 };
 
 /// Reservation slot value meaning "no active reservation" (lower bound).
@@ -92,20 +116,18 @@ const INACTIVE_LOWER: u64 = u64::MAX;
 /// Reservation slot value meaning "no active reservation" (upper bound).
 const INACTIVE_UPPER: u64 = 0;
 
-/// Number of shards in the interval side table.
-const INTERVAL_SHARDS: usize = 64;
-
 /// Configuration for [`Ibr`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct IbrConfig {
     /// Advance the global era once per this many allocations + retirements (per thread).
     /// Smaller values tighten the garbage bound at the cost of more clock traffic.
     pub era_freq: usize,
-    /// Minimum number of records in the limbo bag before a disjointness scan runs.  The
-    /// effective threshold is `max(scan_freq, 2 * block_capacity)` so that every scan can
-    /// emit at least one full block, keeping the amortized scan cost O(1) per record.
+    /// Number of newly retired records that triggers a disjointness scan.  A scan tests
+    /// those records (and the held groups whose reservation moved), so its amortized cost
+    /// is O(1) per retired record for any value; smaller values trade more reservation
+    /// snapshots for less untested garbage.
     pub scan_freq: usize,
-    /// Block capacity of the per-thread limbo bags.
+    /// Block capacity of the per-thread limbo bags (and of the blocks handed to the sink).
     pub block_capacity: usize,
     /// Starting value of the global era clock (useful for wraparound tests).
     pub initial_era: u64,
@@ -122,59 +144,6 @@ impl Default for IbrConfig {
     }
 }
 
-/// A record's lifetime interval.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct Interval {
-    birth: u64,
-    retire: u64,
-}
-
-/// Sharded address → lifetime-interval table (see the module docs for why intervals live
-/// in a side table rather than a record header).
-struct IntervalTable {
-    shards: Box<[Mutex<HashMap<usize, Interval>>]>,
-}
-
-impl IntervalTable {
-    fn new() -> Self {
-        IntervalTable { shards: (0..INTERVAL_SHARDS).map(|_| Mutex::new(HashMap::new())).collect() }
-    }
-
-    #[inline]
-    fn shard(&self, addr: usize) -> &Mutex<HashMap<usize, Interval>> {
-        // Shift out allocation-alignment zeros so consecutive records spread across shards.
-        &self.shards[(addr >> 6) % INTERVAL_SHARDS]
-    }
-
-    /// Records a (re-)allocation: the record's lifetime starts now.
-    fn tag_birth(&self, addr: usize, era: u64) {
-        let mut shard = self.shard(addr).lock().expect("interval shard poisoned");
-        shard.insert(addr, Interval { birth: era, retire: u64::MAX });
-    }
-
-    /// Records a retirement.  A record never tagged at allocation (e.g. allocated through
-    /// a teardown handle) conservatively gets birth era 0.
-    fn tag_retire(&self, addr: usize, era: u64) {
-        let mut shard = self.shard(addr).lock().expect("interval shard poisoned");
-        shard
-            .entry(addr)
-            .and_modify(|iv| iv.retire = era)
-            .or_insert(Interval { birth: 0, retire: era });
-    }
-
-    /// The interval currently on record for `addr` (conservative default when unknown).
-    fn get(&self, addr: usize) -> Interval {
-        let shard = self.shard(addr).lock().expect("interval shard poisoned");
-        shard.get(&addr).copied().unwrap_or(Interval { birth: 0, retire: u64::MAX })
-    }
-}
-
-impl fmt::Debug for IntervalTable {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("IntervalTable").field("shards", &INTERVAL_SHARDS).finish()
-    }
-}
-
 /// One thread's published reservation interval.
 #[derive(Debug)]
 struct Reservation {
@@ -188,14 +157,45 @@ impl Reservation {
     }
 }
 
+/// An active reservation as a scan's snapshot saw it.
+#[derive(Debug, Clone, Copy)]
+struct Pin {
+    tid: usize,
+    lower: u64,
+    upper: u64,
+}
+
+impl Pin {
+    fn overlaps(&self, birth: u64, retire: u64) -> bool {
+        birth <= self.upper && retire >= self.lower
+    }
+}
+
+/// The reservation a record with lifetime `[birth, retire]` is filed under, if any
+/// overlaps it: the one with the smallest lower bound, another thread's before
+/// `self_tid`'s own on a tie.
+fn pinner(pins: &[Pin], self_tid: usize, birth: u64, retire: u64) -> Option<Pin> {
+    let mut best: Option<Pin> = None;
+    for &pin in pins {
+        if pin.overlaps(birth, retire)
+            && best
+                .is_none_or(|b| pin.lower < b.lower || (pin.lower == b.lower && b.tid == self_tid))
+        {
+            best = Some(pin);
+        }
+    }
+    best
+}
+
 /// Shared (global) state of the interval-based reclaimer.
 pub struct Ibr<T> {
     era: CachePadded<AtomicU64>,
     reservations: Box<[CachePadded<Reservation>]>,
-    intervals: IntervalTable,
     stats: Box<[CachePadded<ThreadStatsSlot>]>,
     registered: Box<[AtomicBool]>,
-    orphans: Mutex<Vec<NonNull<T>>>,
+    /// Limbo handed back by exited threads: locked in `IbrThread::drop` and
+    /// `drain_orphans` only, never on an operation's path.
+    orphans: std::sync::Mutex<Vec<NonNull<T>>>,
     config: IbrConfig,
     max_threads: usize,
 }
@@ -210,10 +210,9 @@ impl<T: Send + 'static> Ibr<T> {
             reservations: (0..max_threads)
                 .map(|_| CachePadded::new(Reservation::inactive()))
                 .collect(),
-            intervals: IntervalTable::new(),
             stats: (0..max_threads).map(|_| CachePadded::new(ThreadStatsSlot::default())).collect(),
             registered: (0..max_threads).map(|_| AtomicBool::new(false)).collect(),
-            orphans: Mutex::new(Vec::new()),
+            orphans: std::sync::Mutex::new(Vec::new()),
             config,
             max_threads,
         }
@@ -236,7 +235,7 @@ impl<T: Send + 'static> Ibr<T> {
             .compare_exchange(current, current + 1, Ordering::SeqCst, Ordering::SeqCst)
             .is_ok()
         {
-            self.stats[tid].epochs_advanced.fetch_add(1, Ordering::Relaxed);
+            ThreadStatsSlot::bump(&self.stats[tid].epochs_advanced, 1);
             true
         } else {
             // Another thread advanced it; that serves the same purpose.
@@ -244,17 +243,17 @@ impl<T: Send + 'static> Ibr<T> {
         }
     }
 
-    /// Snapshots every active reservation interval.
-    fn snapshot_reservations(&self) -> Vec<(u64, u64)> {
-        let mut out = Vec::with_capacity(self.max_threads);
-        for r in self.reservations.iter() {
+    /// Writes every active reservation into `out` (cleared first; callers keep one
+    /// buffer sized at registration, so a scan does not allocate).
+    fn snapshot_reservations(&self, out: &mut Vec<Pin>) {
+        out.clear();
+        for (tid, r) in self.reservations.iter().enumerate() {
             let lower = r.lower.load(Ordering::SeqCst);
             let upper = r.upper.load(Ordering::SeqCst);
             if lower <= upper {
-                out.push((lower, upper));
+                out.push(Pin { tid, lower, upper });
             }
         }
-        out
     }
 }
 
@@ -285,9 +284,16 @@ impl<T: Send + 'static> Reclaimer<T> for Ibr<T> {
             global: Arc::clone(this),
             tid,
             limbo: BlockBag::with_block_capacity(cap),
+            ready: BlockBag::with_block_capacity(cap),
+            held: (0..this.max_threads)
+                .map(|_| Held { lower: INACTIVE_LOWER, records: Vec::new() })
+                .collect(),
+            held_len: 0,
+            pins: Vec::with_capacity(this.max_threads),
+            retest: Vec::new(),
             ops_since_advance: 0,
-            scan_threshold: this.config.scan_freq.max(2 * cap),
-            next_scan_at: this.config.scan_freq.max(2 * cap),
+            #[cfg(test)]
+            header_reads: 0,
         })
     }
 
@@ -344,20 +350,33 @@ impl<T> fmt::Debug for Ibr<T> {
 unsafe impl<T: Send> Send for Ibr<T> {}
 unsafe impl<T: Send> Sync for Ibr<T> {}
 
+/// Survivors of earlier scans, all pinned by one thread's reservation.
+struct Held<T> {
+    /// That reservation's lower bound when the records were filed (`INACTIVE_LOWER`
+    /// while the group is empty and the thread quiescent).
+    lower: u64,
+    records: Vec<NonNull<T>>,
+}
+
 /// Per-thread handle of [`Ibr`].
 pub struct IbrThread<T: Send + 'static> {
     global: Arc<Ibr<T>>,
     tid: usize,
+    /// Records retired since the last scan.
     limbo: BlockBag<T>,
+    /// Records a scan found free, waiting to fill a block for the sink.
+    ready: BlockBag<T>,
+    /// `held[u]`: records pinned by thread `u`'s reservation (see the module docs).
+    held: Box<[Held<T>]>,
+    held_len: usize,
+    /// The scan's reservation snapshot, sized at registration.
+    pins: Vec<Pin>,
+    /// Held records a scan tests again; kept to reuse its capacity.
+    retest: Vec<NonNull<T>>,
     ops_since_advance: usize,
-    /// `max(scan_freq, 2 * block_capacity)`: scans below this bag size would churn the
-    /// whole bag without being able to emit a single full block.
-    scan_threshold: usize,
-    /// Bag size at which the next scan runs.  Re-armed after every scan to the surviving
-    /// bag size plus `scan_freq`, so a scan that freed little (records pinned by an
-    /// overlapping reservation) is not repeated until enough new garbage accumulated —
-    /// this is what makes the scan cost amortized O(1) per retired record.
-    next_scan_at: usize,
+    /// Record headers the scans have read.
+    #[cfg(test)]
+    header_reads: usize,
 }
 
 impl<T: Send + 'static> IbrThread<T> {
@@ -366,9 +385,9 @@ impl<T: Send + 'static> IbrThread<T> {
         &self.global
     }
 
-    /// Number of records currently waiting in this thread's limbo bag.
+    /// Number of records this thread has retired and not yet handed to the sink.
     pub fn limbo_len(&self) -> usize {
-        self.limbo.len()
+        self.limbo.len() + self.ready.len() + self.held_len
     }
 
     /// This thread's published reservation, or `None` when quiescent.
@@ -390,7 +409,7 @@ impl<T: Send + 'static> IbrThread<T> {
 
     fn publish_pending(&self) {
         self.global.stats[self.tid]
-            .publish_limbo(self.limbo.len() as u64, std::mem::size_of::<T>() as u64);
+            .publish_limbo(self.limbo_len() as u64, std::mem::size_of::<T>() as u64);
     }
 
     fn maybe_advance_era(&mut self) {
@@ -401,28 +420,65 @@ impl<T: Send + 'static> IbrThread<T> {
         }
     }
 
-    /// The 2GEIBR scan: hands every limbo record whose lifetime interval is disjoint from
-    /// all active reservations to `sink`, whole blocks at a time.
+    /// The 2GEIBR scan over the records retired since the last scan and the held groups
+    /// whose reservation moved (see the module docs); hands full blocks of free records
+    /// to `sink`.
     fn scan<S: ReclaimSink<T>>(&mut self, sink: &mut S) {
-        let reservations = self.global.snapshot_reservations();
-        let intervals = &self.global.intervals;
+        self.global.snapshot_reservations(&mut self.pins);
+        // A held group stays filed while its reservation is open at the same lower
+        // bound; a group whose reservation closed or moved is tested again.
+        for (tid, group) in self.held.iter_mut().enumerate() {
+            let lower = self.pins.iter().find(|p| p.tid == tid).map_or(INACTIVE_LOWER, |p| p.lower);
+            if group.lower != lower {
+                self.retest.append(&mut group.records);
+                group.lower = lower;
+            }
+        }
+        self.held_len -= self.retest.len();
+
+        let mut found_free = false;
+        let mut file = |record: NonNull<T>| {
+            // SAFETY: a retired record stays allocated until this thread hands it to the
+            // sink, and the Record Manager's allocators put a header in front of it.
+            let header = unsafe { header_of(record) };
+            let birth = header.birth.load(Ordering::Acquire);
+            let retire = header.retire.load(Ordering::Relaxed);
+            #[cfg(test)]
+            {
+                self.header_reads += 1;
+            }
+            match pinner(&self.pins, self.tid, birth, retire) {
+                Some(pin) => {
+                    self.held[pin.tid].records.push(record);
+                    self.held_len += 1;
+                }
+                None => {
+                    self.ready.push(record);
+                    found_free = true;
+                }
+            }
+        };
+        for record in self.limbo.drain() {
+            file(record);
+        }
+        for record in self.retest.drain(..) {
+            file(record);
+        }
+
+        let stats = &self.global.stats[self.tid];
         let mut reclaimed = 0u64;
-        for block in self.limbo.partition_and_take_full_blocks(|record| {
-            let iv = intervals.get(record.as_ptr() as usize);
-            reservations.iter().any(|&(lower, upper)| iv.birth <= upper && iv.retire >= lower)
-        }) {
+        for block in self.ready.take_full_blocks() {
             reclaimed += block.len() as u64;
             sink.accept_block(block);
         }
         if reclaimed > 0 {
-            self.global.stats[self.tid].reclaimed.fetch_add(reclaimed, Ordering::Relaxed);
-        } else if !self.limbo.is_empty() {
-            // A full scan pass that freed nothing: every limbo record overlaps some
-            // active reservation — IBR's version of an epoch stall.
-            self.global.stats[self.tid].epoch_stalls.fetch_add(1, Ordering::Relaxed);
+            ThreadStatsSlot::bump(&stats.reclaimed, reclaimed);
         }
-        self.next_scan_at =
-            (self.limbo.len() + self.global.config.scan_freq).max(self.scan_threshold);
+        if !found_free && self.held_len > 0 {
+            // Every tested record overlaps some active reservation — IBR's version of an
+            // epoch stall.
+            ThreadStatsSlot::bump(&stats.epoch_stalls, 1);
+        }
         self.publish_pending();
     }
 }
@@ -432,7 +488,7 @@ impl<T: Send + 'static> ReclaimerThread<T> for IbrThread<T> {
         self.tid
     }
 
-    fn leave_qstate<S: ReclaimSink<T>>(&mut self, sink: &mut S) -> bool {
+    fn leave_qstate<S: ReclaimSink<T>>(&mut self, _sink: &mut S) -> bool {
         let era = self.global.era.load(Ordering::SeqCst);
         let r = &self.global.reservations[self.tid];
         // Store order is irrelevant for safety (see the module docs on torn reads of an
@@ -440,15 +496,10 @@ impl<T: Send + 'static> ReclaimerThread<T> for IbrThread<T> {
         // the SeqCst stores guarantee.
         r.upper.store(era, Ordering::SeqCst);
         r.lower.store(era, Ordering::SeqCst);
-        self.global.stats[self.tid].operations.fetch_add(1, Ordering::Relaxed);
+        ThreadStatsSlot::bump(&self.global.stats[self.tid].operations, 1);
         self.maybe_advance_era();
-        // Opportunistic scan so long-lived handles with little retire traffic still drain.
-        if self.limbo.len() >= self.next_scan_at {
-            self.scan(sink);
-            true
-        } else {
-            false
-        }
+        // Scans run from `retire`, the only place the limbo grows.
+        false
     }
 
     fn enter_qstate(&mut self) {
@@ -466,7 +517,9 @@ impl<T: Send + 'static> ReclaimerThread<T> for IbrThread<T> {
 
     fn record_allocated(&mut self, record: NonNull<T>) {
         let era = self.global.era.load(Ordering::SeqCst);
-        self.global.intervals.tag_birth(record.as_ptr() as usize, era);
+        // SAFETY: the Record Manager calls this hook with a record its allocator has just
+        // handed out, header in front.
+        unsafe { header_of(record) }.birth.store(era, Ordering::Release);
         // Our own allocation must be covered by our reservation, and allocations also
         // drive the era clock (as in the IBR papers).
         self.extend_upper();
@@ -475,11 +528,13 @@ impl<T: Send + 'static> ReclaimerThread<T> for IbrThread<T> {
 
     unsafe fn retire<S: ReclaimSink<T>>(&mut self, record: NonNull<T>, sink: &mut S) {
         let era = self.global.era.load(Ordering::SeqCst);
-        self.global.intervals.tag_retire(record.as_ptr() as usize, era);
+        // SAFETY: the caller retires a record of this Record Manager, still allocated.
+        // Only this thread's scan reads the word back.
+        unsafe { header_of(record) }.retire.store(era, Ordering::Relaxed);
         self.limbo.push(record);
-        self.global.stats[self.tid].retired.fetch_add(1, Ordering::Relaxed);
+        ThreadStatsSlot::bump(&self.global.stats[self.tid].retired, 1);
         self.maybe_advance_era();
-        if self.limbo.len() >= self.next_scan_at {
+        if self.limbo.len() >= self.global.config.scan_freq {
             self.scan(sink);
         } else {
             self.publish_pending();
@@ -528,7 +583,11 @@ impl<T: Send + 'static> ReclaimerThread<T> for IbrThread<T> {
 
 impl<T: Send + 'static> Drop for IbrThread<T> {
     fn drop(&mut self) {
-        let leftovers: Vec<NonNull<T>> = self.limbo.drain().collect();
+        let mut leftovers: Vec<NonNull<T>> = self.limbo.drain().chain(self.ready.drain()).collect();
+        for group in self.held.iter_mut() {
+            leftovers.append(&mut group.records);
+        }
+        self.held_len = 0;
         if !leftovers.is_empty() {
             self.global.orphans.lock().expect("orphans poisoned").extend(leftovers);
         }
@@ -542,7 +601,7 @@ impl<T: Send + 'static> fmt::Debug for IbrThread<T> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("IbrThread")
             .field("tid", &self.tid)
-            .field("limbo", &self.limbo.len())
+            .field("limbo", &self.limbo_len())
             .field("reservation", &self.reservation())
             .finish()
     }
@@ -579,10 +638,16 @@ mod loom_model {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use debra::CountingSink;
+    use debra::{CountingSink, Headed};
 
+    /// A record with a header in front, as the Record Manager's allocators lay it out.
     fn leak(v: u64) -> NonNull<u64> {
-        NonNull::from(Box::leak(Box::new(v)))
+        Headed::boxed(v)
+    }
+
+    fn free(record: NonNull<u64>) {
+        // SAFETY: test records come from `leak` and are freed exactly once.
+        unsafe { Headed::drop_boxed(record) };
     }
 
     struct FreeingSink {
@@ -591,8 +656,7 @@ mod tests {
     impl ReclaimSink<u64> for FreeingSink {
         fn accept(&mut self, record: NonNull<u64>) {
             self.freed.push(record.as_ptr() as usize);
-            // SAFETY: test records are leaked boxes reclaimed exactly once.
-            unsafe { drop(Box::from_raw(record.as_ptr())) };
+            free(record);
         }
     }
 
@@ -602,7 +666,7 @@ mod tests {
 
     fn drain_orphans(ibr: &Arc<Ibr<u64>>) {
         for r in ibr.drain_orphans() {
-            unsafe { drop(Box::from_raw(r.as_ptr())) };
+            free(r);
         }
     }
 
@@ -833,12 +897,14 @@ mod tests {
 
         let mut driver = Ibr::register(&ibr, 0).unwrap();
         let mut sink = CountingSink::default();
+        let mut pins = Vec::with_capacity(3);
         for _ in 0..200 {
             let _ = driver.leave_qstate(&mut sink);
             driver.enter_qstate();
             // Scanner view: every snapshot is a well-formed interval.
-            for (lower, upper) in ibr.snapshot_reservations() {
-                assert!(lower <= upper);
+            ibr.snapshot_reservations(&mut pins);
+            for pin in &pins {
+                assert!(pin.lower <= pin.upper);
             }
         }
         stop.store(true, Ordering::Release);
@@ -894,7 +960,136 @@ mod tests {
         let orphans = ibr.drain_orphans();
         assert_eq!(orphans.len() as u64 + reclaimed_via_sink, 10);
         for r in orphans {
-            unsafe { drop(Box::from_raw(r.as_ptr())) };
+            free(r);
         }
+    }
+
+    /// An era clock that never moves on its own, so a test decides every era.
+    fn frozen() -> IbrConfig {
+        IbrConfig { era_freq: usize::MAX, ..tiny() }
+    }
+
+    /// Retires `records` from inside one operation of `t`.
+    fn retire_all<S: ReclaimSink<u64>>(
+        t: &mut IbrThread<u64>,
+        records: &[NonNull<u64>],
+        sink: &mut S,
+    ) {
+        let _ = t.leave_qstate(sink);
+        for &r in records {
+            unsafe { t.retire(r, sink) };
+        }
+        t.enter_qstate();
+    }
+
+    #[test]
+    fn reader_reopening_at_the_same_era_keeps_its_held_records() {
+        let ibr: Arc<Ibr<u64>> = Arc::new(Ibr::with_config(2, frozen()));
+        let mut a = Ibr::register(&ibr, 0).unwrap();
+        let mut b = Ibr::register(&ibr, 1).unwrap();
+        let mut sink = FreeingSink { freed: Vec::new() };
+        let mut b_sink = CountingSink::default();
+
+        // Everything happens at era 1: every record overlaps B's reservation [1, 1].
+        let first: Vec<_> = (0..8).map(leak).collect();
+        for &r in &first {
+            a.record_allocated(r);
+        }
+        let _ = b.leave_qstate(&mut b_sink);
+        retire_all(&mut a, &first, &mut sink);
+        assert_eq!(a.held[1].records.len(), 8, "filed under B's reservation, not A's own");
+        assert_eq!(a.held_len, 8);
+
+        // B ends its operation and opens the next one at the same era.
+        b.enter_qstate();
+        let _ = b.leave_qstate(&mut b_sink);
+        let second: Vec<_> = (100..104).map(leak).collect();
+        for &r in &second {
+            a.record_allocated(r);
+        }
+        retire_all(&mut a, &second, &mut sink);
+        assert!(sink.freed.is_empty(), "nothing overlapping B's reservation is freed");
+        assert_eq!(a.held[1].records.len(), 12, "B's group kept its records and grew");
+
+        b.enter_qstate();
+        drop(a);
+        drop(b);
+        drain_orphans(&ibr);
+    }
+
+    #[test]
+    fn reader_reopening_at_a_later_era_releases_its_held_records_within_one_scan() {
+        let ibr: Arc<Ibr<u64>> = Arc::new(Ibr::with_config(2, frozen()));
+        let mut a = Ibr::register(&ibr, 0).unwrap();
+        let mut b = Ibr::register(&ibr, 1).unwrap();
+        let mut sink = FreeingSink { freed: Vec::new() };
+        let mut b_sink = CountingSink::default();
+
+        let pinned: Vec<_> = (0..8).map(leak).collect();
+        for &r in &pinned {
+            a.record_allocated(r);
+        }
+        let _ = b.leave_qstate(&mut b_sink);
+        retire_all(&mut a, &pinned, &mut sink);
+        assert_eq!(a.held_len, 8);
+        assert!(sink.freed.is_empty());
+
+        // The era moves on; B's next operation starts past every pinned record.
+        assert!(ibr.advance_era(0));
+        b.enter_qstate();
+        let _ = b.leave_qstate(&mut b_sink);
+        let fresh: Vec<_> = (100..104).map(leak).collect();
+        for &r in &fresh {
+            a.record_allocated(r);
+        }
+        retire_all(&mut a, &fresh, &mut sink);
+        for r in &pinned {
+            assert!(
+                sink.freed.contains(&(r.as_ptr() as usize)),
+                "B's moved reservation releases its whole group in the next scan"
+            );
+        }
+        assert_eq!(a.held_len, 4, "the fresh records overlap both new reservations");
+
+        b.enter_qstate();
+        drop(a);
+        drop(b);
+        drain_orphans(&ibr);
+    }
+
+    #[test]
+    fn scan_under_an_unchanged_pin_reads_only_new_headers() {
+        let ibr: Arc<Ibr<u64>> = Arc::new(Ibr::with_config(2, frozen()));
+        let mut a = Ibr::register(&ibr, 0).unwrap();
+        let mut b = Ibr::register(&ibr, 1).unwrap();
+        let mut sink = CountingSink::default();
+        let mut b_sink = CountingSink::default();
+
+        // B's reservation stays open at era 1 and pins every record A retires.
+        let _ = b.leave_qstate(&mut b_sink);
+        let scan_freq = ibr.config.scan_freq;
+        let mut records = Vec::new();
+        let _ = a.leave_qstate(&mut sink);
+        for round in 1..=20 {
+            let before = a.header_reads;
+            for i in 0..scan_freq as u64 {
+                let r = leak(i);
+                a.record_allocated(r);
+                unsafe { a.retire(r, &mut sink) };
+                records.push(r);
+            }
+            assert_eq!(
+                a.header_reads - before,
+                scan_freq,
+                "round {round}: the scan read the new records' headers and no held one"
+            );
+            assert_eq!(a.held_len, round * scan_freq);
+        }
+        assert_eq!(sink.accepted, 0);
+        a.enter_qstate();
+        b.enter_qstate();
+        drop(a);
+        drop(b);
+        drain_orphans(&ibr);
     }
 }

@@ -134,6 +134,8 @@ impl<T: Send + 'static> PagePoolThread<T> {
         }
     }
 
+    #[cold]
+    #[inline(never)]
     fn publish_stats(&mut self) {
         if self.hits == 0 && self.misses == 0 {
             return;
@@ -168,12 +170,16 @@ impl<T: Send + 'static> PoolThread<T> for PagePoolThread<T> {
             self.hits += 1;
             return Some(record);
         }
-        // Primary is empty: rotate `previous` in if it has records.
+        // Primary is empty: rotate `previous` in if it has records.  Publish here too,
+        // once per magazine: a thread fed whole blocks by its reclaimer (`accept_block`
+        // parks each in `previous`) may never spill or refill, so without this its
+        // counters would stay local until the handle drops.
         if let Some(prev) = self.previous.take() {
             if !prev.is_empty() {
                 let empty = mem::replace(&mut self.primary, prev);
                 self.stash_spare(empty);
                 self.hits += 1;
+                self.publish_stats();
                 return self.primary.pop();
             }
             self.stash_spare(prev);
@@ -316,6 +322,27 @@ mod tests {
         assert!(other.try_take().is_some(), "spilled records flow cross-thread");
         let stats = pool.stats();
         assert!(stats.magazine_hits >= 1);
+    }
+
+    #[test]
+    fn blocks_fed_by_a_reclaimer_publish_hits_while_the_handle_lives() {
+        let pool: Arc<PagePool<PoolProbe>> = Arc::new(PagePool::new(1));
+        let mut t = PagePool::register(&pool, 0);
+        // A reclaimer hands over one full block per scan; it lands in `previous` and is
+        // consumed through `try_take` without ever spilling to the overflow pool.
+        for round in 0..3 {
+            let mut block: Box<Block<PoolProbe>> = Block::with_capacity(DEFAULT_BLOCK_CAPACITY);
+            for i in 1..=DEFAULT_BLOCK_CAPACITY {
+                block.push(fake(round * DEFAULT_BLOCK_CAPACITY + i));
+            }
+            t.accept_block(block);
+            for _ in 0..DEFAULT_BLOCK_CAPACITY {
+                assert!(t.try_take().is_some());
+            }
+        }
+        assert!(pool.drain_shared().is_empty(), "nothing spilled");
+        assert!(pool.stats().magazine_hits > 0, "hits are published before the handle drops");
+        drop(t);
     }
 
     #[test]

@@ -9,15 +9,19 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
 use blockbag::{Block, SharedBlockBag, DEFAULT_BLOCK_CAPACITY};
+use debra::Headed;
 
 /// Bytes per mapped page (the carving granularity; a multiple of common OS page sizes
-/// so a page's slots share a small set of TLB entries).
+/// so a page's slots share a small set of TLB entries).  Each slot is a whole
+/// [`Headed<T>`] — the record header, then the value — and hands out the value's
+/// address.
 pub const PAGE_BYTES: usize = 64 * 1024;
 
-/// Number of `T`-slots carved out of one page (at least one, so oversized records
-/// degenerate to one-slot pages instead of failing).
+/// Number of record slots (a [`Headed<T>`] each: header, then value) carved out of one
+/// page (at least one, so oversized records degenerate to one-slot pages instead of
+/// failing).
 fn slots_per_page<T>() -> usize {
-    (PAGE_BYTES / size_of::<T>().max(1)).max(1)
+    (PAGE_BYTES / size_of::<Headed<T>>()).max(1)
 }
 
 /// Bookkeeping for one mapped page (the slab itself is leaked; see [`PageStore`]).
@@ -89,41 +93,45 @@ impl<T> PageStore<T> {
     /// the returned (non-empty) block on the free list.
     fn map_page(&self) -> Box<Block<T>> {
         let slots = slots_per_page::<T>();
-        let mut slab: Vec<MaybeUninit<T>> = Vec::with_capacity(slots);
+        let bytes = slots * size_of::<Headed<T>>();
+        let mut slab: Vec<MaybeUninit<Headed<T>>> = Vec::with_capacity(slots);
         // SAFETY: `MaybeUninit` contents require no initialization.
         unsafe { slab.set_len(slots) };
         // Leak the slab: the store owns the page for the process lifetime (type
         // stability forbids ever returning it to the system allocator), so there is no
         // owner to keep — only the bookkeeping entry below.
-        let base: *mut MaybeUninit<T> = Box::into_raw(slab.into_boxed_slice()).cast();
+        let base: *mut Headed<T> = Box::into_raw(slab.into_boxed_slice()).cast();
         self.pages
             .lock()
             .expect("page list poisoned")
-            .push(PageMeta { base: base as usize, bytes: slots * size_of::<T>() });
+            .push(PageMeta { base: base as usize, bytes });
         // Tell the sanitizer's shadow table which type this page is bound to, so record
         // allocation can enforce the type-stability contract mechanically.
         #[cfg(feature = "smr_sanitize")]
-        smr_check::shadow::note_typed_page(
-            std::any::type_name::<T>(),
-            base as usize,
-            slots * size_of::<T>(),
-        );
+        smr_check::shadow::note_typed_page(std::any::type_name::<T>(), base as usize, bytes);
         self.pages_mapped.fetch_add(1, Ordering::Relaxed);
         self.slots_total.fetch_add(slots as u64, Ordering::Relaxed);
 
+        // Every slot gets a fresh header once, here; afterwards the header words belong
+        // to the reclaimers that stamp them.
+        let carve = |i: usize| {
+            // SAFETY: `base + i` is in bounds of the just-mapped slab and never null.
+            let slot = unsafe { NonNull::new_unchecked(base.add(i)) };
+            // SAFETY: the slot is in bounds, aligned, and not yet handed out.
+            unsafe { Headed::init_header(slot.as_ptr()) };
+            Headed::value_ptr(slot)
+        };
         let block_cap = DEFAULT_BLOCK_CAPACITY.min(slots);
         let mut keep: Box<Block<T>> = Block::with_capacity(block_cap);
         let mut i = 0usize;
         while i < slots && !keep.is_full() {
-            // SAFETY: `base + i` is in bounds of the just-mapped slab and never null.
-            keep.push(unsafe { NonNull::new_unchecked(base.add(i).cast::<T>()) });
+            keep.push(carve(i));
             i += 1;
         }
         while i < slots {
             let mut b: Box<Block<T>> = Block::with_capacity(block_cap.min(slots - i));
             while i < slots && !b.is_full() {
-                // SAFETY: as above.
-                b.push(unsafe { NonNull::new_unchecked(base.add(i).cast::<T>()) });
+                b.push(carve(i));
                 i += 1;
             }
             self.return_block(b);

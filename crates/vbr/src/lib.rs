@@ -13,9 +13,9 @@
 //!   time-throttled ([`VbrConfig::min_tick_nanos`]) so validation failures are
 //!   bounded in frequency, not just in count.
 //! * **Birth versions.**  [`ReclaimerThread::record_allocated`] stamps each
-//!   record's birth version into a hashed side table
-//!   ([`Vbr::birth_version`]).  A checkpoint that observes a clock tick
-//!   distrusts any record born after its snapshot.
+//!   record's birth version into the `birth` word of its record header
+//!   ([`debra::header_of`], [`Vbr::birth_version`]).  A checkpoint that
+//!   observes a clock tick distrusts any record born after its snapshot.
 //! * **Retire versions.**  [`ReclaimerThread::retire`] tags the record with the
 //!   current clock value and parks it in a version-keyed limbo batch.  A batch
 //!   retired at version `r` is handed to the sink only once the clock reaches
@@ -62,7 +62,7 @@ use std::time::Instant;
 
 use crossbeam_utils::CachePadded;
 use debra::{
-    AllocatorRequirement, CodeModifications, ReadProtection, ReclaimSink, Reclaimer,
+    header_of, AllocatorRequirement, CodeModifications, ReadProtection, ReclaimSink, Reclaimer,
     ReclaimerStats, ReclaimerThread, RegistrationError, SchemeProperties, Termination,
     ThreadStatsSlot, TimingAssumptions,
 };
@@ -79,11 +79,6 @@ pub struct VbrConfig {
     /// i.e. at least `2 * min_tick_nanos` of wall-clock time.  `0` disables the
     /// throttle (used by tests for determinism).
     pub min_tick_nanos: u64,
-    /// log2 of the birth-version side table size.  Cells are hashed by record
-    /// address; collisions are conservative (a cell holds the max birth version
-    /// of the records mapping to it, so a collision can only cause a spurious
-    /// restart, never a missed one).
-    pub birth_table_bits: u32,
     /// The clock value threads start from.  Version 0 is reserved as "born
     /// before any operation", so the clock starts at 1.
     pub initial_version: u64,
@@ -99,7 +94,6 @@ impl Default for VbrConfig {
         VbrConfig {
             epoch_freq: 32,
             min_tick_nanos: 100_000, // 100µs: stale restarts need >= 200µs of delay
-            birth_table_bits: 14,    // 16384 cells * 8B = 128KiB
             initial_version: 1,
             pin_probe_period: 64,
         }
@@ -123,15 +117,13 @@ struct Batch<T> {
     records: Vec<NonNull<T>>,
 }
 
-/// Shared state of the VBR scheme: the global version clock, the birth-version
-/// side table, and per-thread bookkeeping.
+/// Shared state of the VBR scheme: the global version clock and per-thread
+/// bookkeeping.  Birth versions live in each record's header.
 pub struct Vbr<T> {
     /// The global version clock.  Monotonic; saturates at `u64::MAX` (at which
     /// point reclamation of new garbage stops but safety is preserved, mirroring
     /// IBR's era saturation).
     clock: CachePadded<AtomicU64>,
-    /// Hashed birth-version table; see [`VbrConfig::birth_table_bits`].
-    births: Box<[AtomicU64]>,
     /// Throttle state: nanoseconds (since `tick_origin`) of the last clock tick.
     last_tick_nanos: CachePadded<AtomicU64>,
     tick_origin: Instant,
@@ -162,19 +154,17 @@ impl<T> Vbr<T> {
         }
     }
 
-    /// The stamped birth version of `record`'s address cell (an upper bound on
-    /// the true birth version under hash collisions; `0` if nothing mapping to
-    /// the cell was ever allocated).
-    pub fn birth_version(&self, record: NonNull<T>) -> u64 {
-        self.births[self.birth_index(record)].load(Ordering::Acquire)
-    }
-
-    fn birth_index(&self, record: NonNull<T>) -> usize {
-        // Fibonacci hash of the slot address (records in a page pool share
-        // alignment, so drop the low bits first).
-        let addr = record.as_ptr() as usize as u64 >> 3;
-        let h = addr.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        (h >> (64 - self.config.birth_table_bits)) as usize
+    /// The birth version stamped into `record`'s header by its last allocation
+    /// (`0` for a slot never allocated under VBR).
+    ///
+    /// # Safety
+    ///
+    /// `record` must come from the Record Manager's allocator (see
+    /// [`debra::header_of`]); any slot of the type-stable page store qualifies,
+    /// recycled or not.
+    pub unsafe fn birth_version(&self, record: NonNull<T>) -> u64 {
+        // SAFETY: forwarded to the caller.
+        unsafe { header_of(record) }.birth.load(Ordering::Acquire)
     }
 
     /// Attempts one clock tick, subject to the time throttle.  Returns `true`
@@ -296,10 +286,8 @@ impl<T: Send + 'static> Vbr<T> {
         assert!(max_threads > 0);
         assert!(config.epoch_freq > 0, "epoch_freq must be positive");
         assert!(config.pin_probe_period > 0, "pin_probe_period must be positive");
-        assert!((1..=24).contains(&config.birth_table_bits), "birth_table_bits out of range");
         Vbr {
             clock: CachePadded::new(AtomicU64::new(config.initial_version)),
-            births: (0..1usize << config.birth_table_bits).map(|_| AtomicU64::new(0)).collect(),
             last_tick_nanos: CachePadded::new(AtomicU64::new(0)),
             tick_origin: Instant::now(),
             stats: (0..max_threads).map(|_| CachePadded::new(ThreadStatsSlot::default())).collect(),
@@ -386,7 +374,7 @@ impl<T> VbrThread<T> {
         }
         if reclaimed > 0 {
             let stats = self.stats();
-            stats.reclaimed.fetch_add(reclaimed, Ordering::Relaxed);
+            ThreadStatsSlot::bump(&stats.reclaimed, reclaimed);
             stats.publish_limbo(self.limbo_len as u64, std::mem::size_of::<T>() as u64);
         }
     }
@@ -405,7 +393,7 @@ impl<T: Send + 'static> ReclaimerThread<T> for VbrThread<T> {
         self.quiescent = false;
         self.ops_pending += 1;
         if self.ops_pending >= OPS_FLUSH_PERIOD {
-            self.stats().operations.fetch_add(self.ops_pending, Ordering::Relaxed);
+            ThreadStatsSlot::bump(&self.stats().operations, self.ops_pending);
             self.ops_pending = 0;
         }
         let mut v = self.global.clock.load(Ordering::SeqCst);
@@ -441,11 +429,13 @@ impl<T: Send + 'static> ReclaimerThread<T> for VbrThread<T> {
     }
 
     fn record_allocated(&mut self, record: NonNull<T>) {
-        // Stamp the birth version.  `fetch_max` keeps hash collisions
-        // conservative: the cell can only over-approximate a record's birth,
-        // which can only cause a spurious restart.
+        // Stamp the birth version into the record's own header: one store, no
+        // other record shares the word.  Release pairs with `protect_cold`'s
+        // Acquire load.
         let clock = self.global.clock.load(Ordering::SeqCst);
-        self.global.births[self.global.birth_index(record)].fetch_max(clock, Ordering::AcqRel);
+        // SAFETY: the Record Manager hands this hook records its allocator just
+        // produced.
+        unsafe { header_of(record) }.birth.store(clock, Ordering::Release);
     }
 
     unsafe fn retire<S: ReclaimSink<T>>(&mut self, record: NonNull<T>, sink: &mut S) {
@@ -457,7 +447,7 @@ impl<T: Send + 'static> ReclaimerThread<T> for VbrThread<T> {
         }
         self.limbo_len += 1;
         let stats = self.stats();
-        stats.retired.fetch_add(1, Ordering::Relaxed);
+        ThreadStatsSlot::bump(&stats.retired, 1);
         stats.publish_limbo(self.limbo_len as u64, std::mem::size_of::<T>() as u64);
         self.retires_since_tick += 1;
         if self.retires_since_tick >= self.global.config.epoch_freq {
@@ -523,8 +513,11 @@ impl<T: Send + 'static> VbrThread<T> {
         // the link word must still lead here, the record must not have been
         // born after our snapshot (a recycled slot re-allocated since), and
         // the clock must still be within the window after both checks.
+        // SAFETY: `record` was reached through the structure, so it is a slot of
+        // the type-stable page store this scheme requires — mapped forever, even
+        // if it has been recycled since.
         validate()
-            && self.global.birth_version(record) <= self.op_version
+            && unsafe { self.global.birth_version(record) } <= self.op_version
             && self.age(self.global.clock.load(Ordering::Acquire)) < 2
     }
 
@@ -540,7 +533,7 @@ impl<T: Send + 'static> VbrThread<T> {
 impl<T> Drop for VbrThread<T> {
     fn drop(&mut self) {
         if self.ops_pending > 0 {
-            self.stats().operations.fetch_add(self.ops_pending, Ordering::Relaxed);
+            ThreadStatsSlot::bump(&self.stats().operations, self.ops_pending);
             self.ops_pending = 0;
         }
         // Hand unreclaimed limbo to the global orphan list (the pool adopts it
@@ -570,13 +563,17 @@ impl<T> fmt::Debug for VbrThread<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use debra::CountingSink;
+    use debra::{CountingSink, Headed};
 
     fn leak(v: u64) -> NonNull<u64> {
-        NonNull::from(Box::leak(Box::new(v)))
+        Headed::boxed(v)
     }
 
-    /// A sink that frees what it accepts (test records come from `Box::leak`).
+    fn free(record: NonNull<u64>) {
+        unsafe { Headed::drop_boxed(record) };
+    }
+
+    /// A sink that frees what it accepts (test records come from `leak`).
     #[derive(Default)]
     struct FreeingSink {
         accepted: usize,
@@ -584,7 +581,7 @@ mod tests {
     impl ReclaimSink<u64> for FreeingSink {
         fn accept(&mut self, record: NonNull<u64>) {
             self.accepted += 1;
-            drop(unsafe { Box::from_raw(record.as_ptr()) });
+            free(record);
         }
     }
 
@@ -594,7 +591,7 @@ mod tests {
 
     fn free_orphans(v: &Vbr<u64>) {
         for r in v.drain_orphans() {
-            drop(unsafe { Box::from_raw(r.as_ptr()) });
+            free(r);
         }
     }
 
@@ -641,7 +638,7 @@ mod tests {
         let _ = t.leave_qstate(&mut sink);
         assert!(t.check().is_ok());
         assert!(t.protect(0, r, || true));
-        drop(unsafe { Box::from_raw(r.as_ptr()) });
+        free(r);
     }
 
     #[test]
@@ -654,12 +651,12 @@ mod tests {
         v.advance_version();
         let fresh = leak(9);
         t.record_allocated(fresh); // born at pinned_at + 1
-        assert!(v.birth_version(fresh) > pinned_at);
+        assert!(unsafe { v.birth_version(fresh) } > pinned_at);
         assert!(
             !t.protect(0, fresh, || true),
             "a record born after the snapshot is distrusted on the validate path"
         );
-        drop(unsafe { Box::from_raw(fresh.as_ptr()) });
+        free(fresh);
     }
 
     #[test]
@@ -670,13 +667,13 @@ mod tests {
         let _ = t.leave_qstate(&mut sink);
         let r = leak(3);
         t.record_allocated(r);
-        let first = v.birth_version(r);
+        let first = unsafe { v.birth_version(r) };
         assert!(first >= 1);
         v.advance_version();
         v.advance_version();
         // Same slot "re-allocated" later must carry a later (or equal) birth.
         t.record_allocated(r);
-        let second = v.birth_version(r);
+        let second = unsafe { v.birth_version(r) };
         assert!(second > first, "rebirth advances the birth version ({first} -> {second})");
         // Birth precedes retire version.
         unsafe { t.retire(r, &mut sink) };
@@ -827,7 +824,7 @@ mod tests {
         let orphans = v.drain_orphans();
         assert_eq!(orphans.len(), 5, "unreclaimed limbo is orphaned, not leaked");
         for r in orphans {
-            drop(unsafe { Box::from_raw(r.as_ptr()) });
+            free(r);
         }
         assert_eq!(v.stats().pending, 0, "limbo gauge cleared on exit");
     }

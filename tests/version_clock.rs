@@ -19,29 +19,30 @@ use std::sync::Arc;
 use proptest::prelude::*;
 
 use debra_repro::debra::{
-    Allocator as _, Atomic, Domain, Pool as _, ReclaimSink, Reclaimer, ReclaimerThread,
+    Allocator as _, Atomic, Domain, Headed, Pool as _, ReclaimSink, Reclaimer, ReclaimerThread,
     RecordManager, Shared,
 };
 use debra_repro::smr_alloc::{SystemAllocator, ThreadPool};
 use debra_repro::smr_pagepool::{PageAllocator, PagePool};
 use debra_repro::smr_vbr::{Vbr, VbrConfig};
 
-/// A sink that frees what it accepts (test records come from `Box::leak`).
+/// A sink that frees what it accepts (test records come from `leak`).
 #[derive(Default)]
 struct FreeingSink;
 impl ReclaimSink<u64> for FreeingSink {
     fn accept(&mut self, record: NonNull<u64>) {
-        drop(unsafe { Box::from_raw(record.as_ptr()) });
+        unsafe { Headed::drop_boxed(record) };
     }
 }
 
+/// A record with a header in front, as the Record Manager's allocators lay it out.
 fn leak(v: u64) -> NonNull<u64> {
-    NonNull::from(Box::leak(Box::new(v)))
+    Headed::boxed(v)
 }
 
 fn free_orphans(v: &Vbr<u64>) {
     for r in v.drain_orphans() {
-        drop(unsafe { Box::from_raw(r.as_ptr()) });
+        unsafe { Headed::drop_boxed(r) };
     }
 }
 
@@ -100,7 +101,7 @@ proptest! {
                 0 => { v.advance_version(); }
                 _ => { t.record_allocated(record); }
             }
-            let birth = v.birth_version(record);
+            let birth = unsafe { v.birth_version(record) };
             prop_assert!(birth >= last_birth, "birth went backwards: {last_birth} -> {birth}");
             prop_assert!(birth <= v.current_version(), "a record cannot be born in the future");
             last_birth = birth;

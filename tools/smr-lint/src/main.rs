@@ -14,8 +14,11 @@
 //!   the allowlist.
 //! * **hot-path-refcount** — no `Arc::clone(` (or `.clone()` on an `Arc` field) inside the
 //!   per-operation functions of hot-path crates (`leave_qstate*`, `enter_qstate*`,
-//!   `retire*`, `protect*`, `check`): a refcount bump there is a lock-prefixed write to a
-//!   line every thread shares.
+//!   `retire*`, `protect*`, `record_allocated`, `check`): a refcount bump there is a
+//!   lock-prefixed write to a line every thread shares.
+//! * **hot-path-lock** — no `.lock()` inside those same functions: a thread preempted
+//!   while holding the lock blocks every other thread's operation, which is not
+//!   lock-free.  The allowlist cannot waive this rule.
 //! * **must-use-guards** — RAII guard types in `crates/core` are `#[must_use]`, and
 //!   protection/checkpoint functions returning a result that must be consulted are too.
 //!
@@ -50,9 +53,13 @@ const HOT_PATH_CRATES: &[&str] = &[
     "crates/vbr",
 ];
 
-/// Name prefixes of the functions every operation runs: once per pin, per accessed record
-/// or per retired record (`check` is matched whole, see [`is_per_operation_fn`]).
-const PER_OPERATION_FN_PREFIXES: &[&str] = &["leave_qstate", "enter_qstate", "retire", "protect"];
+/// Name prefixes of the functions every operation runs: once per pin, per allocated,
+/// accessed or retired record (`check` is matched whole, see [`is_per_operation_fn`]).
+const PER_OPERATION_FN_PREFIXES: &[&str] =
+    &["leave_qstate", "enter_qstate", "retire", "protect", "record_allocated"];
+
+/// Rules whose findings no allowlist entry suppresses.
+const UNWAIVABLE_RULES: &[&str] = &["hot-path-lock"];
 
 /// RAII guard types of the safe layer that must be `#[must_use]`.
 const GUARD_TYPES: &[&str] =
@@ -100,11 +107,12 @@ fn parse_allowlist(text: &str) -> Vec<Allow> {
 }
 
 fn suppressed(f: &Finding, allows: &[Allow]) -> bool {
-    allows.iter().any(|a| {
-        a.rule == f.rule
-            && f.path.contains(&a.path_sub)
-            && a.content_sub.as_ref().is_none_or(|c| f.line_text.contains(c))
-    })
+    !UNWAIVABLE_RULES.contains(&f.rule)
+        && allows.iter().any(|a| {
+            a.rule == f.rule
+                && f.path.contains(&a.path_sub)
+                && a.content_sub.as_ref().is_none_or(|c| f.line_text.contains(c))
+        })
 }
 
 /// Blanks out comments, string literals and char literals (to spaces, preserving
@@ -522,6 +530,43 @@ fn rule_hot_path_refcount(root: &Path, findings: &mut Vec<Finding>) {
     }
 }
 
+/// The `hot-path-lock` findings of one file (`path` relative to the workspace root).
+fn lock_findings(path: &str, src: &str) -> Vec<Finding> {
+    let clean = strip_test_modules(&clean_source(src));
+    let mut findings = Vec::new();
+    for (name, _, body) in functions(&clean) {
+        if !is_per_operation_fn(&name) {
+            continue;
+        }
+        for (p, _) in clean[body.clone()].match_indices(".lock()") {
+            let line = line_of(&clean, body.start + p);
+            findings.push(Finding {
+                rule: "hot-path-lock",
+                path: path.to_string(),
+                line,
+                line_text: line_text(src, line),
+                message: format!(
+                    "fn `{name}` runs on every operation and takes a lock: a thread \
+                     preempted while holding it blocks every other thread, which is not \
+                     lock-free; this rule has no allowlist waiver"
+                ),
+            });
+        }
+    }
+    findings
+}
+
+fn rule_hot_path_lock(root: &Path, findings: &mut Vec<Finding>) {
+    for krate in HOT_PATH_CRATES {
+        let mut files = Vec::new();
+        rust_files(&root.join(krate).join("src"), &mut files);
+        for file in files {
+            let Ok(src) = std::fs::read_to_string(&file) else { continue };
+            findings.extend(lock_findings(&rel(root, &file), &src));
+        }
+    }
+}
+
 fn rule_must_use_guards(root: &Path, findings: &mut Vec<Finding>) {
     let mut files = Vec::new();
     rust_files(&root.join("crates/core/src"), &mut files);
@@ -606,6 +651,7 @@ fn main() -> ExitCode {
     rule_unprotected_deref(&root, &mut findings);
     rule_hot_path_blocking(&root, &mut findings);
     rule_hot_path_refcount(&root, &mut findings);
+    rule_hot_path_lock(&root, &mut findings);
     rule_must_use_guards(&root, &mut findings);
 
     let (kept, waived): (Vec<_>, Vec<_>) =
@@ -617,7 +663,7 @@ fn main() -> ExitCode {
         println!("{f}");
     }
     if kept.is_empty() {
-        println!("smr-lint: clean ({} rule families)", 5);
+        println!("smr-lint: clean ({} rule families)", 6);
         ExitCode::SUCCESS
     } else {
         println!("smr-lint: {} finding(s)", kept.len());
@@ -701,6 +747,45 @@ mod tests {
         let findings = refcount_findings("x.rs", src);
         let lines: Vec<usize> = findings.iter().map(|f| f.line).collect();
         assert_eq!(lines, [4, 5], "{findings:?}");
+    }
+
+    #[test]
+    fn lock_rule_flags_the_interval_shard_lock_ibr_used_to_take_on_every_retire() {
+        let path = "crates/ibr/src/lib.rs";
+        let file = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..").join(path);
+        let shipped = std::fs::read_to_string(file).expect("the linter runs inside the workspace");
+        assert!(lock_findings(path, &shipped).is_empty(), "the shipped file is clean");
+
+        // Re-inject the shard lock `tag_retire` took where `retire` now stamps the header.
+        let stamp = "unsafe { header_of(record) }.retire.store(era, Ordering::Relaxed);";
+        assert_eq!(shipped.matches(stamp).count(), 1);
+        let mutated = shipped.replace(
+            stamp,
+            "let mut shard = self.global.intervals.shard(record.as_ptr() as usize)\n\
+             .lock().expect(\"interval shard poisoned\");",
+        );
+        let findings = lock_findings(path, &mutated);
+        assert_eq!(findings.len(), 1, "{findings:?}");
+        assert_eq!(findings[0].rule, "hot-path-lock");
+        assert!(findings[0].message.contains("fn `retire`"));
+
+        // No allowlist entry waives it, however broad.
+        let allows = parse_allowlist("hot-path-lock crates/ibr # would be a waiver\n");
+        assert_eq!(allows.len(), 1);
+        assert!(!suppressed(&findings[0], &allows));
+    }
+
+    #[test]
+    fn lock_rule_covers_every_per_operation_fn_and_nothing_else() {
+        let src = "impl H {\n\
+                   fn record_allocated(&self) { self.m.lock(); }\n\
+                   fn leave_qstate_impl(&self) { self.m.lock(); }\n\
+                   fn check(&self) { self.m.lock(); }\n\
+                   fn drain_orphans(&self) { self.m.lock(); }\n\
+                   fn drop(&mut self) { self.m.lock(); }\n\
+                   }";
+        let lines: Vec<usize> = lock_findings("x.rs", src).iter().map(|f| f.line).collect();
+        assert_eq!(lines, [2, 3, 4]);
     }
 
     #[test]
