@@ -12,12 +12,11 @@
 //!
 //! * [`Block`] — a fixed-capacity array of record pointers plus an intrusive next link.
 //! * [`BlockBag`] — a single-owner bag of blocks with O(1) push/pop and bulk block moves,
-//!   used for limbo bags and pool bags.
+//!   used for limbo bags and pool bags.  Each bag keeps a bounded cache of empty blocks
+//!   (the paper's 16-block pool), so an epoch rotation does not allocate or free blocks.
 //! * [`SharedBlockBag`] — a lock-free shared bag of *blocks* (not individual records),
 //!   used as the overflow pool shared by all threads.  Records are moved to and from the
 //!   shared bag a whole block at a time, which greatly reduces synchronization costs.
-//! * [`BlockMemoryPool`] — a small bounded cache of empty blocks so that a thread does not
-//!   have to allocate and free block objects on every epoch rotation.
 //!
 //! The bags store raw record pointers (`NonNull<T>`); they do not own the records and never
 //! dereference them.  Ownership and lifetime of the records is managed by the reclaimers
@@ -46,10 +45,8 @@
 
 mod bag;
 mod block;
-mod pool;
 mod shared;
 
 pub use bag::{BlockBag, Drain, Iter};
 pub use block::{Block, DEFAULT_BLOCK_CAPACITY};
-pub use pool::BlockMemoryPool;
 pub use shared::SharedBlockBag;

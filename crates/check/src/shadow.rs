@@ -548,7 +548,8 @@ pub fn on_teardown_free(addr: usize) {
 }
 
 /// Thread `tid` entered an operation on `mgr` (`leave_qstate`).
-/// `requires_protection` is `!SUPPORTS_UNPROTECTED_TRAVERSAL` of the scheme.
+/// `requires_protection` is `true` for `ReadProtection::Announce` schemes, whose
+/// `protect` is a real per-record announcement.
 pub fn on_pin(mgr: u64, tid: usize, requires_protection: bool) {
     PINS.with(|p| {
         let mut pins = p.borrow_mut();

@@ -557,14 +557,31 @@ where
         self.lease.lease()
     }
 
-    /// Checkpoint: fails with [`Restart`] if this thread has been neutralized (DEBRA+).
-    /// A no-op that always succeeds under every other scheme (compiled out).
+    /// Checkpoint: fails with [`Restart`] if this thread has been neutralized (DEBRA+)
+    /// or its snapshot has gone stale (VBR).  A no-op that always succeeds under every
+    /// other scheme (compiled out).
     #[inline]
     pub fn check(&self) -> Result<(), Restart> {
         // SAFETY: shared read access to the thread-local handle; no `&mut` outstanding
         // (guard methods never hold one across user code).
         let handle = unsafe { self.handle.as_ref() };
         handle.check().map_err(Restart::from)
+    }
+
+    /// `false` if a CAS this operation has just won may have landed on a recycled record.
+    ///
+    /// A validating scheme (VBR) vouches for the operation's reads only while its
+    /// snapshot is fresh, and a checkpoint just before a CAS leaves a window: a thread
+    /// preempted between the two can resume after the record it read was retired,
+    /// recycled and re-initialized to the expected word.  Asked right *after* a decision
+    /// CAS, `true` proves the CAS landed on the record the operation read (recycling
+    /// takes two clock ticks, and the snapshot saw fewer).  Always `true` under every
+    /// other scheme — their protection covers the whole operation; constant after
+    /// monomorphization.
+    #[inline]
+    pub fn reads_still_valid(&self) -> bool {
+        !matches!(<R::Thread as ReclaimerThread<T>>::READ_PROTECTION, ReadProtection::Validate)
+            || self.check().is_ok()
     }
 
     /// Leases a protection slot as a [`Shield`].
@@ -658,7 +675,7 @@ where
     /// insert whose decision CAS already succeeded keeps its published record protected
     /// across the recovery gap until its completion phase finishes — the DEBRA+
     /// completion-phase protocol).  Unwinding drops the scope, and the drop releases.
-    pub fn recover(&self) {
+    pub(crate) fn recover(&self) {
         self.lease().with_handle(|h| {
             if h.is_neutralized() {
                 h.begin_recovery();
@@ -677,12 +694,14 @@ where
     /// — and unsafe under schemes whose safety argument is tied to their own validated
     /// accesses: hazard pointers and ThreadScan (per-slot announcements), and IBR
     /// (interval reservations cover the records reached through its validating reads).
-    /// Under those schemes structures must back off and let the operation's owner
-    /// finish instead (the restriction of the paper's Section 3).  Constant after
-    /// monomorphization, so the non-helping branch compiles out.
+    /// Version-based schemes (VBR) refuse it too: a helper's CAS cannot be covered by a
+    /// version re-check on a link it never read.  Under those schemes structures must
+    /// back off and let the operation's owner finish instead (the restriction of the
+    /// paper's Section 3).  `true` exactly for [`ReadProtection::Pin`] schemes; constant
+    /// after monomorphization, so the non-helping branch compiles out.
     #[inline]
     pub fn helping_allowed(&self) -> bool {
-        self.lease().with_handle(|h| h.supports_unprotected_traversal())
+        matches!(<R::Thread as ReclaimerThread<T>>::READ_PROTECTION, ReadProtection::Pin)
     }
 
     /// `true` if the chosen reclaimer supports crash recovery / neutralization (DEBRA+);

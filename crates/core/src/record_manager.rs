@@ -9,9 +9,11 @@ use std::sync::Arc;
 
 use neutralize::Neutralized;
 
+#[cfg(feature = "smr_sanitize")]
+use crate::traits::ReadProtection;
 use crate::traits::{
-    Allocator, AllocatorRequirement, AllocatorThread, Pool, PoolThread, ReadProtection, Reclaimer,
-    ReclaimerThread, RegistrationError,
+    Allocator, AllocatorRequirement, AllocatorThread, Pool, PoolThread, Reclaimer, ReclaimerThread,
+    RegistrationError,
 };
 
 /// Shared state of a Record Manager: one reclaimer, one pool and one allocator, chosen at
@@ -438,20 +440,6 @@ where
         <R::Thread as ReclaimerThread<T>>::SUPPORTS_CRASH_RECOVERY
     }
 
-    /// `true` if the chosen reclaimer permits dereferencing records without a per-access
-    /// validated protect — the epoch-style capability that makes *helping* sound; see
-    /// [`ReclaimerThread::SUPPORTS_UNPROTECTED_TRAVERSAL`].  Constant after
-    /// monomorphization, so the non-helping branch compiles out.
-    pub fn supports_unprotected_traversal(&self) -> bool {
-        <R::Thread as ReclaimerThread<T>>::SUPPORTS_UNPROTECTED_TRAVERSAL
-    }
-
-    /// How the chosen reclaimer protects readers (announce / pin / validate); see
-    /// [`crate::ReadProtection`].  Constant after monomorphization.
-    pub fn read_protection(&self) -> ReadProtection {
-        <R::Thread as ReclaimerThread<T>>::READ_PROTECTION
-    }
-
     /// Checkpoint: fails with [`Neutralized`] if this thread has been neutralized.
     #[inline]
     #[must_use = "ignoring a Neutralized result defeats the DEBRA+ recovery protocol"]
@@ -486,21 +474,6 @@ where
     /// Returns `true` if this thread holds a restricted hazard pointer to `record`.
     pub fn is_r_protected(&self, record: NonNull<T>) -> bool {
         self.reclaimer.is_r_protected(record)
-    }
-
-    /// Direct access to the reclaimer thread handle (for scheme-specific extensions).
-    pub fn reclaimer_mut(&mut self) -> &mut R::Thread {
-        &mut self.reclaimer
-    }
-
-    /// Direct access to the pool thread handle.
-    pub fn pool_mut(&mut self) -> &mut P::Thread {
-        &mut self.pool
-    }
-
-    /// Direct access to the allocator thread handle.
-    pub fn allocator_mut(&mut self) -> &mut A::Thread {
-        &mut self.alloc
     }
 }
 

@@ -58,9 +58,8 @@ impl std::fmt::Display for RegistrationError {
 
 impl std::error::Error for RegistrationError {}
 
-/// How a scheme lets readers dereference shared records — the generalization of the old
-/// `SUPPORTS_UNPROTECTED_TRAVERSAL` bool (which only distinguished epoch-style pinning
-/// from per-access announcement).
+/// How a scheme lets readers dereference shared records.  Only `Pin` schemes permit
+/// unprotected traversal, and with it helping (`Guard::helping_allowed`).
 ///
 /// | variant    | reader cost per access        | schemes                              |
 /// |------------|-------------------------------|--------------------------------------|
@@ -234,31 +233,6 @@ pub trait ReclaimerThread<T: Send> {
     /// safe choice (`Announce`: per-access validated protection, no helping);
     /// epoch-style schemes opt into `Pin`, version-based schemes into `Validate`.
     const READ_PROTECTION: ReadProtection = ReadProtection::Announce;
-
-    /// `true` when a non-quiescent thread may dereference any record that was reachable
-    /// at some point during its operation *without* a per-access validated
-    /// [`protect`](Self::protect) — the epoch-style guarantee (no reclamation, EBR,
-    /// DEBRA, DEBRA+: nothing retired after the operation began is freed while the
-    /// thread stays non-quiescent).
-    ///
-    /// This is the capability that makes **helping** sound: completing another thread's
-    /// operation follows descriptor fields into records the helper never protected, on
-    /// which no validating read can be performed (there is no link to re-validate
-    /// against).  Schemes whose safety argument is tied to their own validated accesses
-    /// must not claim it: hazard pointers and ThreadScan (per-slot announcements),
-    /// and IBR — whose interval reservation covers exactly the records reached through
-    /// its *validating reads*, not the unvalidated descriptor-field loads of a helping
-    /// path.  (Claiming it for IBR is how the seed's external BST corrupted
-    /// itself: a stale helper's child CAS could race record recycling and resurrect an
-    /// already-removed, marked node, permanently livelocking every validated traversal.)
-    /// Version-based schemes must not claim it either: a helper's CAS cannot be covered
-    /// by a version re-check on a link it never read.
-    ///
-    /// Derived from [`READ_PROTECTION`](Self::READ_PROTECTION): only `Pin` schemes
-    /// traverse unprotected.  Kept as a named constant because it is the capability
-    /// consumers actually gate on (helping in the BST, sanitizer deref tracking).
-    const SUPPORTS_UNPROTECTED_TRAVERSAL: bool =
-        matches!(Self::READ_PROTECTION, ReadProtection::Pin);
 
     /// The thread slot this handle was registered with.
     fn tid(&self) -> usize;

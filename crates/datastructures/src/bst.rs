@@ -398,6 +398,28 @@ where
         }
     }
 
+    /// Takes back a decision flag the snapshot did not survive: `word` may belong to a
+    /// recycled record (see [`Guard::reads_still_valid`]).  Nobody else writes a flagged
+    /// word under a validating scheme (no helping), so the undo restores the exact
+    /// previous state, and the briefly reachable descriptor goes to the reclaimer.
+    /// `true` if the flag was taken back and the attempt must restart.
+    fn undo_stale_flag(
+        &self,
+        guard: &BstGuard<K, V, R, P, A>,
+        word: &Atomic<BstNode<K, V>>,
+        flagged: Shared<'_, BstNode<K, V>>,
+        previous: Shared<'_, BstNode<K, V>>,
+    ) -> bool {
+        let undone = !guard.reads_still_valid()
+            && word
+                .compare_exchange(flagged, previous, Ordering::AcqRel, Ordering::Acquire, guard)
+                .is_ok();
+        if undone {
+            guard.retire(flagged.with_tag(0));
+        }
+        undone
+    }
+
     /// Helps the operation described by `word` (if any) to completion.  `holder` is the
     /// node whose `update` field the caller read `word` from; it is used to validate the
     /// descriptor's protection announcement before the descriptor is dereferenced.
@@ -639,6 +661,12 @@ where
                 guard,
             ) {
                 Ok(op) => {
+                    if self.undo_stale_flag(guard, &p_ref.update, op, s.pupdate) {
+                        // Never linked: the leaf and routing node are recycled.
+                        guard.discard(new_internal);
+                        guard.discard(new_leaf);
+                        return Err(Restart);
+                    }
                     // Decision CAS won: the descriptor — and, through it, the new leaf
                     // and routing node — now belong to the structure (the `Owned`s are
                     // consumed/forgotten, never freed here).  Hand off the previous
@@ -704,6 +732,9 @@ where
                 guard,
             ) {
                 Ok(op) => {
+                    if self.undo_stale_flag(guard, &gp_ref.update, op, s.gpupdate) {
+                        return Err(Restart);
+                    }
                     self.retire_info(guard, s.gpupdate);
                     if self.help_delete(guard, op.with_tag(0)) {
                         // This thread's operation removed the parent routing node and

@@ -8,7 +8,9 @@
 //!
 //! * [`HarrisMichaelList`] — a lock-free sorted linked list (Harris's marking scheme with
 //!   Michael's one-at-a-time physical removal).  Small and easy to reason about; used
-//!   heavily by the test suite.
+//!   heavily by the test suite.  Its algorithm is the public [`Chain`] — one head link
+//!   plus `insert`/`remove`/`get` under the caller's guard — which is also the bucket of
+//!   `smr-hashmap`'s hash map, so the list algorithm exists once.
 //! * [`ExternalBst`] — a lock-free *external* (leaf-oriented) binary search tree with
 //!   flag/mark descriptors and helping, in the style of Ellen, Fatourou, Ruppert and
 //!   van Breugel.  This is the reproduction's stand-in for the paper's balanced BST (see
@@ -35,7 +37,7 @@ pub mod list;
 pub mod skiplist;
 
 pub use bst::{BstNode, ExternalBst};
-pub use list::{HarrisMichaelList, ListNode};
+pub use list::{Chain, HarrisMichaelList, ListNode};
 pub use skiplist::{SkipList, SkipNode, MAX_HEIGHT};
 
 /// The concurrent set/map interface shared by every structure in this crate, used by the

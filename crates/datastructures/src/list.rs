@@ -9,6 +9,9 @@
 //! [`Restart`], and the removed record is handed to the safe [`Guard::retire`] at the
 //! unique unlink point (retire-once-after-unlink is the guard layer's documented
 //! contract — see its docs).
+//!
+//! The algorithm lives on [`Chain`], which takes the caller's guard; [`HarrisMichaelList`]
+//! is one chain plus its [`Domain`], and `smr-hashmap`'s map is an array of chains.
 
 use std::fmt;
 use std::sync::atomic::Ordering;
@@ -24,7 +27,7 @@ use crate::ConcurrentMap;
 /// Mark (logical deletion) tag stored in the low bit of a node's `next` link.
 const MARK: usize = 1;
 
-/// A node of [`HarrisMichaelList`].
+/// A node of a [`Chain`] (of [`HarrisMichaelList`], and of every `smr-hashmap` bucket).
 ///
 /// `next` packs the successor pointer and the *mark* tag: a marked node has been logically
 /// deleted and will be retired by whichever thread physically unlinks it.
@@ -52,70 +55,39 @@ impl<K: fmt::Debug, V> fmt::Debug for ListNode<K, V> {
     }
 }
 
-/// A lock-free sorted linked list implementing a set/map, parameterized by the Record
-/// Manager (reclaimer `R`, pool `P`, allocator `A`) through a [`Domain`].
+/// One Harris–Michael chain: a head link and the list algorithm over it.
 ///
-/// The algorithm is the classic Harris / Michael list: deletion first *marks* the victim's
-/// `next` pointer (logical deletion), then any traversal that encounters a marked node
-/// attempts to physically unlink it; the thread whose unlink CAS succeeds retires the node
-/// through the guard.  Searches may traverse marked — and, under epoch-based reclamation,
-/// already retired — nodes, which is precisely the access pattern discussed in Section 3
-/// of the paper.
-pub struct HarrisMichaelList<K, V, R, P, A>
-where
-    K: Ord + Clone + Send + Sync + 'static,
-    V: Clone + Send + Sync + 'static,
-    R: Reclaimer<ListNode<K, V>>,
-    P: Pool<ListNode<K, V>>,
-    A: Allocator<ListNode<K, V>>,
-{
+/// Deletion first *marks* the victim's `next` link (logical deletion), then any traversal
+/// that encounters a marked node attempts to physically unlink it; the thread whose
+/// unlink CAS succeeds retires the node through the guard.  Searches may traverse marked
+/// — and, under epoch-based reclamation, already retired — nodes, which is precisely the
+/// access pattern discussed in Section 3 of the paper.
+///
+/// The chain is the whole algorithm of [`HarrisMichaelList`] (one chain) and of
+/// `smr-hashmap`'s `LockFreeHashMap` (one chain per bucket, Michael SPAA 2002).  It owns
+/// no [`Domain`]: every operation runs under the caller's [`Guard`] and returns
+/// [`Restart`] for the caller's [`DomainHandle::run`] to recover from, and the owner
+/// frees the nodes at teardown with [`Chain::free`] — dropping a chain frees nothing.
+///
+/// Restarting a whole chain operation from the head is sound: an insert whose CAS has
+/// not succeeded recycles its private node through [`Guard::discard`], and an insert or
+/// remove whose decision CAS succeeded runs no further checkpoint before returning.
+#[derive(Debug)]
+pub struct Chain<K, V> {
     head: Atomic<ListNode<K, V>>,
-    domain: Domain<ListNode<K, V>, R, P, A>,
 }
 
-/// Shorthand for the per-thread handle type used by [`HarrisMichaelList`]: a domain lease
-/// that pins guards without per-operation registry lookups.  Obtained with
-/// [`ConcurrentMap::register`] (slots are leased automatically) and usable only on the
-/// thread that created it.
-pub type ListHandle<K, V, R, P, A> = DomainHandle<ListNode<K, V>, R, P, A>;
+impl<K, V> Default for Chain<K, V> {
+    fn default() -> Self {
+        Chain { head: Atomic::null() }
+    }
+}
 
-/// Shorthand for the guard type of [`HarrisMichaelList`] operations.
-pub type ListGuard<K, V, R, P, A> = Guard<ListNode<K, V>, R, P, A>;
-
-impl<K, V, R, P, A> HarrisMichaelList<K, V, R, P, A>
+impl<K, V> Chain<K, V>
 where
     K: Ord + Clone + Send + Sync + 'static,
     V: Clone + Send + Sync + 'static,
-    R: Reclaimer<ListNode<K, V>>,
-    P: Pool<ListNode<K, V>>,
-    A: Allocator<ListNode<K, V>>,
 {
-    /// Creates an empty list backed by `manager`.
-    pub fn new(manager: Arc<RecordManager<ListNode<K, V>, R, P, A>>) -> Self {
-        Self::in_domain(Domain::with_manager(manager))
-    }
-
-    /// Creates an empty list backed by an existing [`Domain`] (sharing its thread leases).
-    pub fn in_domain(domain: Domain<ListNode<K, V>, R, P, A>) -> Self {
-        HarrisMichaelList { head: Atomic::null(), domain }
-    }
-
-    /// The Record Manager backing this list.
-    pub fn manager(&self) -> &Arc<RecordManager<ListNode<K, V>, R, P, A>> {
-        self.domain.manager()
-    }
-
-    /// The reclamation domain backing this list.
-    pub fn domain(&self) -> &Domain<ListNode<K, V>, R, P, A> {
-        &self.domain
-    }
-
-    /// Leases a per-thread handle; see [`ConcurrentMap::register`] (the domain leases
-    /// slots automatically — no manual `tid` bookkeeping).
-    pub fn register(&self) -> Result<ListHandle<K, V, R, P, A>, RegistrationError> {
-        self.domain.try_handle()
-    }
-
     /// The link word holding the pointer to the traversal's current node: the
     /// predecessor's `next` link, or the head when there is no predecessor.
     #[inline]
@@ -135,13 +107,18 @@ where
     /// Returns [`Restart`] only for DEBRA+ neutralization; protection-validation
     /// failures (HP / ThreadScan / IBR) restart the traversal internally.
     #[allow(clippy::type_complexity)]
-    fn search<'g>(
+    fn search<'g, R, P, A>(
         &self,
         guard: &'g ListGuard<K, V, R, P, A>,
         key: &K,
         prev_shield: &mut Shield<'g, ListNode<K, V>, R, P, A>,
         curr_shield: &mut Shield<'g, ListNode<K, V>, R, P, A>,
-    ) -> Result<(Shared<'g, ListNode<K, V>>, Shared<'g, ListNode<K, V>>), Restart> {
+    ) -> Result<(Shared<'g, ListNode<K, V>>, Shared<'g, ListNode<K, V>>), Restart>
+    where
+        R: Reclaimer<ListNode<K, V>>,
+        P: Pool<ListNode<K, V>>,
+        A: Allocator<ListNode<K, V>>,
+    {
         'retry: loop {
             guard.check()?;
             let mut prev: Shared<'g, ListNode<K, V>> = Shared::null();
@@ -198,12 +175,18 @@ where
         }
     }
 
-    fn insert_body(
+    /// Inserts `key -> value` unless `key` is present; `Ok(true)` if it was inserted.
+    pub fn insert<R, P, A>(
         &self,
         guard: &ListGuard<K, V, R, P, A>,
         key: &K,
         value: &V,
-    ) -> Result<bool, Restart> {
+    ) -> Result<bool, Restart>
+    where
+        R: Reclaimer<ListNode<K, V>>,
+        P: Pool<ListNode<K, V>>,
+        A: Allocator<ListNode<K, V>>,
+    {
         let mut prev_shield = guard.shield();
         let mut curr_shield = guard.shield();
         loop {
@@ -240,7 +223,17 @@ where
         }
     }
 
-    fn remove_body(&self, guard: &ListGuard<K, V, R, P, A>, key: &K) -> Result<bool, Restart> {
+    /// Removes `key`; `Ok(true)` if this call logically deleted it.
+    pub fn remove<R, P, A>(
+        &self,
+        guard: &ListGuard<K, V, R, P, A>,
+        key: &K,
+    ) -> Result<bool, Restart>
+    where
+        R: Reclaimer<ListNode<K, V>>,
+        P: Pool<ListNode<K, V>>,
+        A: Allocator<ListNode<K, V>>,
+    {
         let mut prev_shield = guard.shield();
         let mut curr_shield = guard.shield();
         loop {
@@ -292,7 +285,17 @@ where
         }
     }
 
-    fn get_body(&self, guard: &ListGuard<K, V, R, P, A>, key: &K) -> Result<Option<V>, Restart> {
+    /// The value of `key`, if present and not logically deleted.
+    pub fn get<R, P, A>(
+        &self,
+        guard: &ListGuard<K, V, R, P, A>,
+        key: &K,
+    ) -> Result<Option<V>, Restart>
+    where
+        R: Reclaimer<ListNode<K, V>>,
+        P: Pool<ListNode<K, V>>,
+        A: Allocator<ListNode<K, V>>,
+    {
         let mut prev_shield = guard.shield();
         let mut curr_shield = guard.shield();
         let (_prev, curr) = self.search(guard, key, &mut prev_shield, &mut curr_shield)?;
@@ -304,24 +307,107 @@ where
         Ok(None)
     }
 
-    /// Counts the elements by a full traversal; test/diagnostic helper.
+    /// Counts the unmarked nodes by a full traversal; test/diagnostic helper.
     ///
     /// The traversal announces no per-node protection, which only epoch-style schemes
     /// honor; under protection-based schemes (HP, ThreadScan, IBR) it must not race with
-    /// concurrent removals — call it only when no other thread is updating the list.
-    pub fn len(&self, handle: &mut ListHandle<K, V, R, P, A>) -> usize {
-        handle.run(|guard| {
-            let mut n = 0;
-            let mut curr = self.head.load(Ordering::Acquire, guard);
-            while let Some(node) = curr.as_ref() {
-                let next = node.next.load(Ordering::Acquire, guard);
-                if next.tag() == 0 {
-                    n += 1;
-                }
-                curr = next;
+    /// concurrent removals — call it only when no other thread is updating the chain.
+    pub fn len<R, P, A>(&self, guard: &ListGuard<K, V, R, P, A>) -> usize
+    where
+        R: Reclaimer<ListNode<K, V>>,
+        P: Pool<ListNode<K, V>>,
+        A: Allocator<ListNode<K, V>>,
+    {
+        let mut n = 0;
+        let mut curr = self.head.load(Ordering::Acquire, guard);
+        while let Some(node) = curr.as_ref() {
+            let next = node.next.load(Ordering::Acquire, guard);
+            if next.tag() == 0 {
+                n += 1;
             }
-            Ok(n)
-        })
+            curr = next;
+        }
+        n
+    }
+
+    /// Frees every node still reachable from the head, through `domain`'s allocator.
+    ///
+    /// Teardown only: `&mut self` witnesses that no operation can reach the chain, and
+    /// `domain` must be the one whose guards the chain's operations ran under (see
+    /// [`Domain::free_reachable`]).  Each node is freed exactly once.
+    pub fn free<R, P, A>(&mut self, domain: &Domain<ListNode<K, V>, R, P, A>)
+    where
+        R: Reclaimer<ListNode<K, V>>,
+        P: Pool<ListNode<K, V>>,
+        A: Allocator<ListNode<K, V>>,
+    {
+        domain.free_reachable(self.head.load_ptr(Ordering::Relaxed), |node| {
+            node.next.load_ptr(Ordering::Relaxed)
+        });
+    }
+}
+
+/// A lock-free sorted linked list implementing a set/map: one [`Chain`], parameterized by
+/// the Record Manager (reclaimer `R`, pool `P`, allocator `A`) through a [`Domain`].
+pub struct HarrisMichaelList<K, V, R, P, A>
+where
+    K: Ord + Clone + Send + Sync + 'static,
+    V: Clone + Send + Sync + 'static,
+    R: Reclaimer<ListNode<K, V>>,
+    P: Pool<ListNode<K, V>>,
+    A: Allocator<ListNode<K, V>>,
+{
+    chain: Chain<K, V>,
+    domain: Domain<ListNode<K, V>, R, P, A>,
+}
+
+/// Shorthand for the per-thread handle type used by [`HarrisMichaelList`]: a domain lease
+/// that pins guards without per-operation registry lookups.  Obtained with
+/// [`ConcurrentMap::register`] (slots are leased automatically) and usable only on the
+/// thread that created it.
+pub type ListHandle<K, V, R, P, A> = DomainHandle<ListNode<K, V>, R, P, A>;
+
+/// Shorthand for the guard type of [`HarrisMichaelList`] and [`Chain`] operations.
+pub type ListGuard<K, V, R, P, A> = Guard<ListNode<K, V>, R, P, A>;
+
+impl<K, V, R, P, A> HarrisMichaelList<K, V, R, P, A>
+where
+    K: Ord + Clone + Send + Sync + 'static,
+    V: Clone + Send + Sync + 'static,
+    R: Reclaimer<ListNode<K, V>>,
+    P: Pool<ListNode<K, V>>,
+    A: Allocator<ListNode<K, V>>,
+{
+    /// Creates an empty list backed by `manager`.
+    pub fn new(manager: Arc<RecordManager<ListNode<K, V>, R, P, A>>) -> Self {
+        Self::in_domain(Domain::with_manager(manager))
+    }
+
+    /// Creates an empty list backed by an existing [`Domain`] (sharing its thread leases).
+    pub fn in_domain(domain: Domain<ListNode<K, V>, R, P, A>) -> Self {
+        HarrisMichaelList { chain: Chain::default(), domain }
+    }
+
+    /// The Record Manager backing this list.
+    pub fn manager(&self) -> &Arc<RecordManager<ListNode<K, V>, R, P, A>> {
+        self.domain.manager()
+    }
+
+    /// The reclamation domain backing this list.
+    pub fn domain(&self) -> &Domain<ListNode<K, V>, R, P, A> {
+        &self.domain
+    }
+
+    /// Leases a per-thread handle; see [`ConcurrentMap::register`] (the domain leases
+    /// slots automatically — no manual `tid` bookkeeping).
+    pub fn register(&self) -> Result<ListHandle<K, V, R, P, A>, RegistrationError> {
+        self.domain.try_handle()
+    }
+
+    /// Counts the elements by a full traversal; test/diagnostic helper with the
+    /// quiescent contract of [`Chain::len`].
+    pub fn len(&self, handle: &mut ListHandle<K, V, R, P, A>) -> usize {
+        handle.run(|guard| Ok(self.chain.len(guard)))
     }
 
     /// Returns `true` if the list is empty (diagnostic helper).
@@ -345,19 +431,19 @@ where
     }
 
     fn insert(&self, handle: &mut Self::Handle, key: K, value: V) -> bool {
-        handle.run(|guard| self.insert_body(guard, &key, &value))
+        handle.run(|guard| self.chain.insert(guard, &key, &value))
     }
 
     fn remove(&self, handle: &mut Self::Handle, key: &K) -> bool {
-        handle.run(|guard| self.remove_body(guard, key))
+        handle.run(|guard| self.chain.remove(guard, key))
     }
 
     fn contains(&self, handle: &mut Self::Handle, key: &K) -> bool {
-        handle.run(|guard| self.get_body(guard, key)).is_some()
+        handle.run(|guard| self.chain.get(guard, key)).is_some()
     }
 
     fn get(&self, handle: &mut Self::Handle, key: &K) -> Option<V> {
-        handle.run(|guard| self.get_body(guard, key))
+        handle.run(|guard| self.chain.get(guard, key))
     }
 }
 
@@ -370,11 +456,7 @@ where
     A: Allocator<ListNode<K, V>>,
 {
     fn drop(&mut self) {
-        // Exclusive access during drop (`&mut self`); every node still reachable from
-        // the head is freed exactly once.
-        self.domain.free_reachable(self.head.load_ptr(Ordering::Relaxed), |node| {
-            node.next.load_ptr(Ordering::Relaxed)
-        });
+        self.chain.free(&self.domain);
     }
 }
 

@@ -391,13 +391,18 @@ where
         let Some(victim) = r.found.as_ref() else {
             return Ok(false);
         };
-        // Mark the upper levels (top-down).
+        // Mark the upper levels (top-down).  Every mark CAS is preceded by a checkpoint:
+        // the marks are writes into a record this operation only read, and a validating
+        // scheme (VBR) vouches for those reads only up to the checkpoint — a stale remover
+        // that marks without one can mark a recycled record, i.e. delete a key it never
+        // found.
         for level in (1..victim.height).rev() {
             loop {
                 let w = victim.next[level].load(Ordering::Acquire, guard);
                 if w.tag() == MARK {
                     break;
                 }
+                guard.check()?;
                 if victim.next[level]
                     .compare_exchange(
                         w,
@@ -419,6 +424,7 @@ where
             if w.tag() == MARK {
                 return Ok(false); // another remover won
             }
+            guard.check()?;
             if victim.next[0]
                 .compare_exchange(w, w.with_tag(MARK), Ordering::AcqRel, Ordering::Acquire, guard)
                 .is_ok()
@@ -428,7 +434,6 @@ where
                 let _ = self.find(guard, &mut set, key, None)?;
                 return Ok(true);
             }
-            guard.check()?;
         }
     }
 
@@ -541,13 +546,19 @@ where
                 // re-runs.  A validating scheme (VBR) can also restart past the
                 // decision point; it holds no token, and without one there is no safe
                 // way to re-identify the node (the address may since have been
-                // recycled) — so abandon the upper-level climb.  That is sound: the
-                // bottom-level link is the linearization point and alone determines
-                // membership; a node that never climbs costs traversal performance,
-                // not correctness.
+                // recycled) — so abandon the upper-level climb.  The bottom-level link
+                // is the linearization point and alone determines membership; a node
+                // that never climbs costs traversal performance, not correctness.  What
+                // the abandoned climb still owes is its last step: a concurrent remove
+                // may have marked the node and passed the levels this insert linked
+                // afterwards, so one search for the key unlinks it wherever it is
+                // still reachable — otherwise a retired node could stay linked above
+                // the bottom level.
                 if let Some(token) = token {
                     let node = token.get(guard);
                     self.complete_insert(guard, &mut set, &key, node, *height)?;
+                } else {
+                    let _ = self.find(guard, &mut set, &key, None)?;
                 }
                 return Ok(true);
             }

@@ -1,50 +1,28 @@
 //! A lock-free hash map written against the **safe guard layer** of the Record Manager
 //! abstraction.
 //!
-//! The map is a **fixed-size bucket array of Harris–Michael lists**: each bucket holds the
-//! head link of a sorted lock-free linked list (mark tag in the low bit of every `next`
-//! link), and a key is routed to its bucket by hashing.  This is the classic lock-free
-//! hash table of Michael ("High Performance Dynamic Lock-Free Hash Tables and List-Based
-//! Sets", SPAA 2002), restricted to a fixed bucket count — no resizing — which keeps every
-//! operation strictly per-bucket.
+//! The map is a **fixed-size bucket array of Harris–Michael lists**: each bucket is one
+//! [`Chain`] of `lockfree-ds` — the list's own algorithm, not a copy of it — and a key is
+//! routed to its bucket by hashing.  This is the classic lock-free hash table of Michael
+//! ("High Performance Dynamic Lock-Free Hash Tables and List-Based Sets", SPAA 2002),
+//! restricted to a fixed bucket count — no resizing — which keeps every operation
+//! strictly per-bucket.
 //!
 //! Like the structures in `lockfree-ds`, the map is written **once** and is parameterized
 //! by the reclamation scheme, the pool and the allocator through a
 //! [`Domain`]; swapping any of them is a one-line change of type parameters.  The map runs
-//! under every scheme in this repository (None, EBR, HP, ThreadScan, IBR, DEBRA, DEBRA+).
+//! under every scheme in this repository (None, EBR, HP, ThreadScan, IBR, DEBRA, DEBRA+,
+//! VBR).
 //!
-//! # Protection discipline (HP / ThreadScan / IBR)
+//! # Protection, recovery and reclamation
 //!
-//! A bucket traversal holds at most **two** protected records at a time — the node being
-//! inspected and its predecessor — exactly like the stand-alone Harris–Michael list, but
-//! the protocol now lives entirely inside the guard layer:
-//!
-//! * [`Shield::protect`](debra::Shield::protect) announces the node *before* its fields
-//!   are read and validates by re-reading the link that led to it (bucket head or the
-//!   predecessor's `next` link, full word, mark tag included).  If the link changed, the
-//!   traversal restarts from the bucket head: the node may already have been retired, so
-//!   its fields must not be touched.
-//! * Advancing the traversal is a `std::mem::swap` of the two shields, which moves the
-//!   protection *roles* without touching the announcements.
-//!
-//! Epoch-based schemes compile both announcements down to nothing; IBR extends the
-//! thread's reservation interval inside the same protect/check checkpoints.
-//!
-//! > Note: the bucket-chain protocol below is deliberately the same algorithm as
-//! > [`lockfree_ds::list`]'s stand-alone list.  The two are audit twins: a correctness
-//! > fix in either search/validate/unlink path almost certainly applies to the other.
-//!
-//! # Neutralization (DEBRA+)
-//!
-//! Every operation body is a sequence of checkpoints ([`Guard::check`](debra::Guard::check)
-//! before each dereference and each CAS, folded into `protect`).  When a checkpoint
-//! reports a [`Restart`], the operation unwinds to
-//! [`DomainHandle::run`](debra::DomainHandle::run), which releases restricted hazard
-//! pointers, acknowledges the signal and **restarts the whole bucket operation** from the
-//! bucket head.  Nothing an interrupted operation published needs helping: an insert whose
-//! CAS has not yet succeeded recycles its private node through
-//! [`Guard::discard`](debra::Guard::discard), and one whose CAS succeeded runs no further
-//! checkpoints before returning.
+//! An operation hashes its key once, then runs the chain's operation under
+//! [`DomainHandle::run`](debra::DomainHandle::run).  No operation crosses a bucket
+//! boundary, so every per-scheme obligation is the list's, by construction: the two-shield
+//! validated traversal under HP / ThreadScan / IBR, the DEBRA+ restart from the bucket
+//! head on [`Restart`](debra::Restart), and the hand-over of an unlinked node to the
+//! reclaimer by the unique unlink-CAS winner.
+//! See [`lockfree_ds::list`] for the argument.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -52,48 +30,16 @@
 
 use std::fmt;
 use std::hash::{Hash, Hasher};
-use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
-use debra::{
-    Allocator, Atomic, Domain, DomainHandle, Guard, Pool, Reclaimer, RecordManager,
-    RegistrationError, Restart, Shared, Shield,
-};
-use lockfree_ds::ConcurrentMap;
-
-/// Mark (logical deletion) tag stored in the low bit of a node's `next` link.
-const MARK: usize = 1;
+use debra::{Allocator, Domain, DomainHandle, Pool, Reclaimer, RecordManager, RegistrationError};
+use lockfree_ds::{Chain, ConcurrentMap, ListNode};
 
 /// Default number of buckets used by [`LockFreeHashMap::new`].
 pub const DEFAULT_BUCKETS: usize = 256;
 
-/// A node of [`LockFreeHashMap`]: one key/value pair in one bucket's list.
-///
-/// `next` packs the successor pointer and the *mark* tag: a marked node has been logically
-/// deleted and will be retired by whichever thread physically unlinks it.
-pub struct HashMapNode<K, V> {
-    key: K,
-    value: V,
-    next: Atomic<HashMapNode<K, V>>,
-}
-
-impl<K, V> HashMapNode<K, V> {
-    /// The node's key.
-    pub fn key(&self) -> &K {
-        &self.key
-    }
-
-    /// The node's value.
-    pub fn value(&self) -> &V {
-        &self.value
-    }
-}
-
-impl<K: fmt::Debug, V> fmt::Debug for HashMapNode<K, V> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("HashMapNode").field("key", &self.key).field("next", &self.next).finish()
-    }
-}
+/// A node of [`LockFreeHashMap`]: one key/value pair in one bucket's [`Chain`].
+pub type HashMapNode<K, V> = ListNode<K, V>;
 
 /// A lock-free hash map (fixed bucket array of Harris–Michael lists), parameterized by the
 /// Record Manager (reclaimer `R`, pool `P`, allocator `A`) through a [`Domain`].
@@ -107,8 +53,8 @@ where
     P: Pool<HashMapNode<K, V>>,
     A: Allocator<HashMapNode<K, V>>,
 {
-    /// Head link per bucket.  The bucket count is a power of two so routing is a mask.
-    buckets: Box<[Atomic<HashMapNode<K, V>>]>,
+    /// One chain per bucket.  The bucket count is a power of two so routing is a mask.
+    buckets: Box<[Chain<K, V>]>,
     mask: usize,
     domain: Domain<HashMapNode<K, V>, R, P, A>,
 }
@@ -118,9 +64,6 @@ where
 /// [`ConcurrentMap::register`] (slots are leased automatically) and usable only on the
 /// thread that created it.
 pub type HashMapHandle<K, V, R, P, A> = DomainHandle<HashMapNode<K, V>, R, P, A>;
-
-/// Shorthand for the guard type of [`LockFreeHashMap`] operations.
-pub type HashMapGuard<K, V, R, P, A> = Guard<HashMapNode<K, V>, R, P, A>;
 
 impl<K, V, R, P, A> LockFreeHashMap<K, V, R, P, A>
 where
@@ -146,7 +89,7 @@ where
     /// Creates an empty map backed by an existing [`Domain`] (sharing its thread leases).
     pub fn in_domain(domain: Domain<HashMapNode<K, V>, R, P, A>, buckets: usize) -> Self {
         let n = buckets.max(1).next_power_of_two();
-        LockFreeHashMap { buckets: (0..n).map(|_| Atomic::null()).collect(), mask: n - 1, domain }
+        LockFreeHashMap { buckets: (0..n).map(|_| Chain::default()).collect(), mask: n - 1, domain }
     }
 
     /// The Record Manager backing this map.
@@ -170,241 +113,21 @@ where
         self.domain.try_handle()
     }
 
-    /// Routes `key` to its bucket index.
+    /// Routes `key` to its bucket's chain.
     #[inline]
-    fn bucket_of(&self, key: &K) -> usize {
+    fn bucket_of(&self, key: &K) -> &Chain<K, V> {
         let mut hasher = std::collections::hash_map::DefaultHasher::new();
         key.hash(&mut hasher);
-        (hasher.finish() as usize) & self.mask
-    }
-
-    /// The link holding the pointer to the traversal's current node: the predecessor's
-    /// `next` link, or the bucket head when there is no predecessor.
-    #[inline]
-    fn link_of<'g>(
-        &'g self,
-        bucket: usize,
-        prev: Shared<'g, HashMapNode<K, V>>,
-    ) -> &'g Atomic<HashMapNode<K, V>> {
-        match prev.as_ref() {
-            Some(p) => &p.next,
-            None => &self.buckets[bucket],
-        }
-    }
-
-    /// Finds the first node in `key`'s bucket with key >= `key` (`curr`, null if none)
-    /// and its predecessor (`prev`, null when `curr` hangs off the bucket head),
-    /// physically unlinking (and retiring) marked nodes encountered on the way.  On
-    /// return both nodes are still protected by the caller-supplied shields, so the
-    /// caller may dereference them and CAS on the predecessor's link.
-    ///
-    /// Returns [`Restart`] only for DEBRA+ neutralization; protection-validation
-    /// failures (HP / ThreadScan / IBR) restart the traversal internally.
-    #[allow(clippy::type_complexity)]
-    fn search<'g>(
-        &self,
-        guard: &'g HashMapGuard<K, V, R, P, A>,
-        bucket: usize,
-        key: &K,
-        prev_shield: &mut Shield<'g, HashMapNode<K, V>, R, P, A>,
-        curr_shield: &mut Shield<'g, HashMapNode<K, V>, R, P, A>,
-    ) -> Result<(Shared<'g, HashMapNode<K, V>>, Shared<'g, HashMapNode<K, V>>), Restart> {
-        'retry: loop {
-            guard.check()?;
-            let mut prev: Shared<'g, HashMapNode<K, V>> = Shared::null();
-            let mut curr_word = self.buckets[bucket].load(Ordering::Acquire, guard);
-            loop {
-                // Protect-and-validate the node `curr_word` points to (`protect_loaded`
-                // folds in the per-node neutralization checkpoint).  A failure means the
-                // link changed under us or is now marked — the node may already be
-                // retired: restart from the bucket head.  The validating comparison is on
-                // the full link word, mark tag included, exactly as Michael's algorithm
-                // requires.
-                let link = self.link_of(bucket, prev);
-                let Ok(curr) = curr_shield.protect_loaded(link, curr_word) else {
-                    continue 'retry;
-                };
-                let Some(curr_ref) = curr.as_ref() else {
-                    return Ok((prev, curr));
-                };
-                let next = curr_ref.next.load(Ordering::Acquire, guard);
-
-                if next.tag() == MARK {
-                    // Logically deleted: try to unlink it.  Whoever wins the CAS owns the
-                    // retirement of `curr`.
-                    let unlink_to = next.with_tag(0);
-                    match link.compare_exchange(
-                        curr,
-                        unlink_to,
-                        Ordering::AcqRel,
-                        Ordering::Acquire,
-                        guard,
-                    ) {
-                        Ok(()) => {
-                            // `curr` was just unlinked by this thread (unique CAS winner)
-                            // and is no longer reachable from the bucket head; it is
-                            // retired exactly once, here (the guard's documented
-                            // contract).
-                            guard.retire(curr);
-                            curr_word = unlink_to;
-                            continue;
-                        }
-                        Err(_) => continue 'retry,
-                    }
-                }
-
-                if curr_ref.key >= *key {
-                    return Ok((prev, curr));
-                }
-                // Advance: `curr` becomes the predecessor (shield roles swap, no stores).
-                prev_shield.swap_roles(curr_shield);
-                prev = curr;
-                curr_word = next;
-            }
-        }
-    }
-
-    fn insert_body(
-        &self,
-        guard: &HashMapGuard<K, V, R, P, A>,
-        bucket: usize,
-        key: &K,
-        value: &V,
-    ) -> Result<bool, Restart> {
-        let mut prev_shield = guard.shield();
-        let mut curr_shield = guard.shield();
-        loop {
-            let (prev, curr) =
-                self.search(guard, bucket, key, &mut prev_shield, &mut curr_shield)?;
-            if let Some(curr_ref) = curr.as_ref() {
-                if &curr_ref.key == key {
-                    return Ok(false);
-                }
-            }
-            let node = guard.alloc(HashMapNode {
-                key: key.clone(),
-                value: value.clone(),
-                next: Atomic::from_shared(curr),
-            });
-            if let Err(restart) = guard.check() {
-                // Not yet published: recycle immediately, then unwind to recovery.
-                guard.discard(node);
-                return Err(restart);
-            }
-            match self.link_of(bucket, prev).compare_exchange_owned(
-                curr,
-                node,
-                Ordering::AcqRel,
-                Ordering::Acquire,
-                guard,
-            ) {
-                Ok(_) => return Ok(true),
-                Err(node) => {
-                    // The node was never made reachable; recycle it and retry.
-                    guard.discard(node);
-                    continue;
-                }
-            }
-        }
-    }
-
-    fn remove_body(
-        &self,
-        guard: &HashMapGuard<K, V, R, P, A>,
-        bucket: usize,
-        key: &K,
-    ) -> Result<bool, Restart> {
-        let mut prev_shield = guard.shield();
-        let mut curr_shield = guard.shield();
-        loop {
-            let (prev, curr) =
-                self.search(guard, bucket, key, &mut prev_shield, &mut curr_shield)?;
-            let Some(curr_ref) = curr.as_ref() else {
-                return Ok(false);
-            };
-            if &curr_ref.key != key {
-                return Ok(false);
-            }
-            let next = curr_ref.next.load(Ordering::Acquire, guard);
-            if next.tag() == MARK {
-                // Someone else is already deleting it; help by restarting (the next
-                // search unlinks it).
-                continue;
-            }
-            guard.check()?;
-            // Logical deletion: set the mark tag.
-            if curr_ref
-                .next
-                .compare_exchange(
-                    next,
-                    next.with_tag(MARK),
-                    Ordering::AcqRel,
-                    Ordering::Acquire,
-                    guard,
-                )
-                .is_err()
-            {
-                continue;
-            }
-            // Physical deletion: best effort; if it fails a later traversal will do it
-            // (and that traversal's winner retires the node).
-            if self
-                .link_of(bucket, prev)
-                .compare_exchange(
-                    curr,
-                    next.with_tag(0),
-                    Ordering::AcqRel,
-                    Ordering::Acquire,
-                    guard,
-                )
-                .is_ok()
-            {
-                // Unlinked by this thread: unique owner of the retirement.
-                guard.retire(curr);
-            }
-            return Ok(true);
-        }
-    }
-
-    fn get_body(
-        &self,
-        guard: &HashMapGuard<K, V, R, P, A>,
-        bucket: usize,
-        key: &K,
-    ) -> Result<Option<V>, Restart> {
-        let mut prev_shield = guard.shield();
-        let mut curr_shield = guard.shield();
-        let (_prev, curr) = self.search(guard, bucket, key, &mut prev_shield, &mut curr_shield)?;
-        if let Some(curr_ref) = curr.as_ref() {
-            if &curr_ref.key == key && curr_ref.next.load(Ordering::Acquire, guard).tag() == 0 {
-                return Ok(Some(curr_ref.value.clone()));
-            }
-        }
-        Ok(None)
+        &self.buckets[(hasher.finish() as usize) & self.mask]
     }
 
     /// Counts the elements by a full traversal of every bucket; test/diagnostic helper.
     ///
-    /// Like its twin `HarrisMichaelList::len`, the traversal relies on the operation's
-    /// guard and announces no per-node protection, which only epoch-style schemes honor.
-    /// Under protection-based schemes (HP, ThreadScan, IBR) it must not race with
-    /// concurrent removals — call it only when no other thread is updating the map
-    /// (e.g. after workers have joined, as the test suites do).
+    /// The quiescent contract of [`Chain::len`] applies: under protection-based schemes
+    /// (HP, ThreadScan, IBR) call it only when no other thread is updating the map (e.g.
+    /// after workers have joined, as the test suites do).
     pub fn len(&self, handle: &mut HashMapHandle<K, V, R, P, A>) -> usize {
-        handle.run(|guard| {
-            let mut n = 0;
-            for bucket in self.buckets.iter() {
-                let mut curr = bucket.load(Ordering::Acquire, guard);
-                while let Some(node) = curr.as_ref() {
-                    let next = node.next.load(Ordering::Acquire, guard);
-                    if next.tag() == 0 {
-                        n += 1;
-                    }
-                    curr = next;
-                }
-            }
-            Ok(n)
-        })
+        self.bucket_histogram(handle).iter().sum()
     }
 
     /// Returns `true` if the map is empty (diagnostic helper).
@@ -415,22 +138,7 @@ where
     /// Per-bucket chain lengths (unmarked nodes only); diagnostic helper for load-factor
     /// and skew inspection.  Same concurrency precondition as [`Self::len`].
     pub fn bucket_histogram(&self, handle: &mut HashMapHandle<K, V, R, P, A>) -> Vec<usize> {
-        handle.run(|guard| {
-            let mut out = Vec::with_capacity(self.buckets.len());
-            for bucket in self.buckets.iter() {
-                let mut n = 0;
-                let mut curr = bucket.load(Ordering::Acquire, guard);
-                while let Some(node) = curr.as_ref() {
-                    let next = node.next.load(Ordering::Acquire, guard);
-                    if next.tag() == 0 {
-                        n += 1;
-                    }
-                    curr = next;
-                }
-                out.push(n);
-            }
-            Ok(out)
-        })
+        handle.run(|guard| Ok(self.buckets.iter().map(|chain| chain.len(guard)).collect()))
     }
 }
 
@@ -449,23 +157,23 @@ where
     }
 
     fn insert(&self, handle: &mut Self::Handle, key: K, value: V) -> bool {
-        let bucket = self.bucket_of(&key);
-        handle.run(|guard| self.insert_body(guard, bucket, &key, &value))
+        let chain = self.bucket_of(&key);
+        handle.run(|guard| chain.insert(guard, &key, &value))
     }
 
     fn remove(&self, handle: &mut Self::Handle, key: &K) -> bool {
-        let bucket = self.bucket_of(key);
-        handle.run(|guard| self.remove_body(guard, bucket, key))
+        let chain = self.bucket_of(key);
+        handle.run(|guard| chain.remove(guard, key))
     }
 
     fn contains(&self, handle: &mut Self::Handle, key: &K) -> bool {
-        let bucket = self.bucket_of(key);
-        handle.run(|guard| self.get_body(guard, bucket, key)).is_some()
+        let chain = self.bucket_of(key);
+        handle.run(|guard| chain.get(guard, key)).is_some()
     }
 
     fn get(&self, handle: &mut Self::Handle, key: &K) -> Option<V> {
-        let bucket = self.bucket_of(key);
-        handle.run(|guard| self.get_body(guard, bucket, key))
+        let chain = self.bucket_of(key);
+        handle.run(|guard| chain.get(guard, key))
     }
 }
 
@@ -478,12 +186,9 @@ where
     A: Allocator<HashMapNode<K, V>>,
 {
     fn drop(&mut self) {
-        for bucket in self.buckets.iter() {
-            // Exclusive access during drop (`&mut self`); every node still reachable
-            // from a bucket head is freed exactly once (chains are disjoint).
-            self.domain.free_reachable(bucket.load_ptr(Ordering::Relaxed), |node| {
-                node.next.load_ptr(Ordering::Relaxed)
-            });
+        // Chains are disjoint, so every node is freed exactly once.
+        for chain in self.buckets.iter_mut() {
+            chain.free(&self.domain);
         }
     }
 }

@@ -26,10 +26,11 @@
 //!   version: nothing was retired-and-recycled since the snapshot, the read is
 //!   trivially consistent and costs one shared load.  One tick elapsed: the
 //!   link word is re-validated and the record's birth version is required to
-//!   not postdate the snapshot.  Two ticks: the reader is *stale* — `protect`
-//!   refuses and `check` returns [`Neutralized`], which the guard layer turns
-//!   into a typed [`Restart`](debra::Restart); the operation re-pins with a
-//!   fresh snapshot and retries.
+//!   not postdate the snapshot; a refusal there spends the snapshot, so the
+//!   next `check` fails as if stale.  Two ticks: the reader is *stale* —
+//!   `protect` refuses and `check` returns [`Neutralized`], which the guard
+//!   layer turns into a typed [`Restart`](debra::Restart); the operation
+//!   re-pins with a fresh snapshot and retries.
 //!
 //! # Why this needs a type-stable allocator
 //!
@@ -238,6 +239,7 @@ impl<T: Send + 'static> Reclaimer<T> for Vbr<T> {
             global: Arc::clone(this),
             tid,
             op_version: this.config.initial_version,
+            refused: false,
             quiescent: true,
             limbo: VecDeque::new(),
             limbo_len: 0,
@@ -315,6 +317,9 @@ pub struct VbrThread<T> {
     tid: usize,
     /// Private snapshot of the clock, taken at `leave_qstate`.  Never published.
     op_version: u64,
+    /// A `protect` was refused on the one-tick validate path since the snapshot was
+    /// taken; the next `check` restarts the operation.  See [`Self::protect_cold`].
+    refused: bool,
     quiescent: bool,
     /// Version-keyed limbo batches, oldest first.  A batch is reclaimable when
     /// `clock - batch.version >= 2`.
@@ -417,6 +422,7 @@ impl<T: Send + 'static> ReclaimerThread<T> for VbrThread<T> {
         }
         let changed = v != self.op_version;
         self.op_version = v;
+        self.refused = false;
         changed
     }
 
@@ -482,7 +488,7 @@ impl<T: Send + 'static> ReclaimerThread<T> for VbrThread<T> {
     }
 
     fn check(&self) -> Result<(), Neutralized> {
-        if self.age(self.global.clock.load(Ordering::Acquire)) >= 2 {
+        if self.refused || self.age(self.global.clock.load(Ordering::Acquire)) >= 2 {
             self.check_cold();
             return Err(Neutralized);
         }
@@ -516,12 +522,20 @@ impl<T: Send + 'static> VbrThread<T> {
         // SAFETY: `record` was reached through the structure, so it is a slot of
         // the type-stable page store this scheme requires — mapped forever, even
         // if it has been recycled since.
-        validate()
+        let valid = validate()
             && unsafe { self.global.birth_version(record) } <= self.op_version
-            && self.age(self.global.clock.load(Ordering::Acquire)) < 2
+            && self.age(self.global.clock.load(Ordering::Acquire)) < 2;
+        // A refusal here does not go away by retrying under the same snapshot: a
+        // record born after it stays distrusted until the clock ticks once more, and
+        // only retires tick the clock — a thread whose peers have stopped would spin
+        // on it forever.  So the snapshot is spent: the next checkpoint restarts the
+        // operation, and the re-pin takes a fresh one.
+        self.refused |= !valid;
+        valid
     }
 
-    /// Stats bump for a failed [`ReclaimerThread::check`], outlined like
+    /// Stats bump for a failed [`ReclaimerThread::check`] (stale, or a spent
+    /// snapshot after a refused one-tick `protect`), outlined like
     /// [`Self::protect_cold`].
     #[cold]
     #[inline(never)]
@@ -656,6 +670,29 @@ mod tests {
             !t.protect(0, fresh, || true),
             "a record born after the snapshot is distrusted on the validate path"
         );
+        free(fresh);
+    }
+
+    /// Regression for a single-thread livelock: a record born after the snapshot stays
+    /// unprotectable until the clock ticks again, and a reader whose peers have stopped
+    /// retiring never sees that tick.  The refusal must make the next checkpoint restart
+    /// the operation, and the re-pin's fresh snapshot must then trust the record.
+    #[test]
+    fn a_refused_one_tick_protect_restarts_at_the_next_check() {
+        let v = vbr(1);
+        let mut t = Vbr::register(&v, 0).unwrap();
+        let mut sink = CountingSink::default();
+        let _ = t.leave_qstate(&mut sink);
+        v.advance_version();
+        let fresh = leak(9);
+        t.record_allocated(fresh);
+        assert!(t.check().is_ok(), "one tick alone does not restart");
+        assert!(!t.protect(0, fresh, || true));
+        assert!(t.check().is_err(), "the refused snapshot is spent");
+        t.enter_qstate();
+        let _ = t.leave_qstate(&mut sink);
+        assert!(t.check().is_ok(), "re-pinning takes a fresh snapshot");
+        assert!(t.protect(0, fresh, || true));
         free(fresh);
     }
 
@@ -803,9 +840,6 @@ mod tests {
             <VbrThread<u64> as ReclaimerThread<u64>>::READ_PROTECTION,
             ReadProtection::Validate
         ));
-        const {
-            assert!(!<VbrThread<u64> as ReclaimerThread<u64>>::SUPPORTS_UNPROTECTED_TRAVERSAL);
-        }
     }
 
     #[test]

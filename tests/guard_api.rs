@@ -6,12 +6,15 @@ use std::ptr::NonNull;
 use std::sync::Arc;
 
 use debra_repro::debra::{
-    Atomic, Debra, DebraPlus, Domain, Reclaimer, RecordManager, RegistrationError, Restart,
+    Allocator, Atomic, Debra, DebraPlus, Domain, Pool, Reclaimer, RecordManager, RegistrationError,
+    Restart,
 };
 use debra_repro::lockfree_ds::{ConcurrentMap, HarrisMichaelList, ListNode, SkipList, SkipNode};
 use debra_repro::smr_alloc::{SystemAllocator, ThreadPool};
 use debra_repro::smr_baselines::{ClassicEbr, HazardPointers, NoReclaim, ThreadScanLite};
 use debra_repro::smr_ibr::Ibr;
+use debra_repro::smr_pagepool::{PageAllocator, PagePool};
+use debra_repro::smr_vbr::Vbr;
 
 /// Satellite regression: a thread slot must be reusable after its handle is dropped —
 /// `register(tid)` must not error forever once a slot was used.  Checked for every scheme
@@ -408,16 +411,19 @@ fn recovery_scope_survives_restart_and_releases_on_drop() {
 /// Pins the helping policy per scheme: helping (unvalidated traversal of another
 /// operation's records) is an epoch-style capability.  Schemes whose safety argument is
 /// tied to their own validated accesses — hazard pointers, ThreadScan, **and IBR** —
-/// must refuse it.  Regression for the seed's external-BST livelock: the old
+/// must refuse it, and so must VBR, whose reads announce nothing at all.  Regression for the seed's external-BST livelock: the old
 /// `protection_slots() > 0` gate let IBR help, and a stale helper's child CAS racing
 /// record recycling could resurrect an already-removed marked node, permanently wedging
 /// every IBR-validated traversal through it.
 #[test]
 fn helping_policy_matches_the_scheme_taxonomy() {
-    fn helping<R: Reclaimer<u64>>() -> bool {
-        let domain: Domain<u64, R, ThreadPool<u64>, SystemAllocator<u64>> = Domain::new(1);
+    fn helping_on<R: Reclaimer<u64>, P: Pool<u64>, A: Allocator<u64>>() -> bool {
+        let domain: Domain<u64, R, P, A> = Domain::new(1);
         let guard = domain.pin();
         guard.helping_allowed()
+    }
+    fn helping<R: Reclaimer<u64>>() -> bool {
+        helping_on::<R, ThreadPool<u64>, SystemAllocator<u64>>()
     }
     assert!(helping::<NoReclaim<u64>>());
     assert!(helping::<Debra<u64>>());
@@ -428,6 +434,11 @@ fn helping_policy_matches_the_scheme_taxonomy() {
     assert!(
         !helping::<Ibr<u64>>(),
         "IBR must not help: its reservation covers only validated reads"
+    );
+    // VBR composes only with the type-stable page pool (it panics on any other allocator).
+    assert!(
+        !helping_on::<Vbr<u64>, PagePool<u64>, PageAllocator<u64>>(),
+        "VBR must not help: a version re-check cannot cover a link the helper never read"
     );
 }
 

@@ -15,7 +15,8 @@
 //!
 //! The clean-run tests are the other half of the contract: a correct workload under every
 //! scheme must produce **zero** reports (no false positives) — the Harris–Michael list,
-//! the Michael–Scott queue and the Treiber stack, each under all eight schemes.
+//! the hash map, the Michael–Scott queue and the Treiber stack, each under all eight
+//! schemes.
 //!
 //! The sanitizer's counters and shadow table are process-global, so every test
 //! serializes on [`LOCK`] and asserts on counter *deltas*.
@@ -34,6 +35,7 @@ use debra_repro::lockfree_ds::{ConcurrentBag, ConcurrentMap, HarrisMichaelList, 
 use debra_repro::smr_alloc::{SystemAllocator, ThreadPool};
 use debra_repro::smr_baselines::{ClassicEbr, HazardPointers, HpConfig, NoReclaim, ThreadScanLite};
 use debra_repro::smr_check as check;
+use debra_repro::smr_hashmap::{HashMapNode, LockFreeHashMap};
 use debra_repro::smr_ibr::Ibr;
 use debra_repro::smr_pagepool::{PageAllocator, PagePool};
 use debra_repro::smr_queue::{MsQueue, QueueNode, StackNode, TreiberStack};
@@ -308,6 +310,7 @@ fn clean_bag_stress<B: ConcurrentBag<u64>>(bag: B) {
 }
 
 type List<R, P, A> = HarrisMichaelList<u64, u64, R, P, A>;
+type Map<R, P, A> = LockFreeHashMap<u64, u64, R, P, A>;
 type Queue<R, P, A> = MsQueue<u64, R, P, A>;
 type Stack<R, P, A> = TreiberStack<u64, R, P, A>;
 
@@ -340,6 +343,17 @@ clean_stress! {
 }
 
 clean_stress! {
+    clean_map_stress, Map, HashMapNode<u64, u64>;
+    clean_stress_map_none: NoReclaim,
+    clean_stress_map_ebr: ClassicEbr,
+    clean_stress_map_hazard_pointers: HazardPointers,
+    clean_stress_map_threadscan: ThreadScanLite,
+    clean_stress_map_debra: Debra,
+    clean_stress_map_debra_plus: DebraPlus,
+    clean_stress_map_ibr: Ibr,
+}
+
+clean_stress! {
     clean_bag_stress, Queue, QueueNode<u64>;
     clean_stress_queue_none: NoReclaim,
     clean_stress_queue_ebr: ClassicEbr,
@@ -365,6 +379,8 @@ clean_stress! {
 // (`Revived` + excused stale derefs) must keep a clean VBR run report-free.
 clean_stress!(@one clean_map_stress, List, ListNode<u64, u64>, clean_stress_vbr, Vbr, PagePool,
     PageAllocator);
+clean_stress!(@one clean_map_stress, Map, HashMapNode<u64, u64>, clean_stress_map_vbr, Vbr,
+    PagePool, PageAllocator);
 clean_stress!(@one clean_bag_stress, Queue, QueueNode<u64>, clean_stress_queue_vbr, Vbr,
     PagePool, PageAllocator);
 clean_stress!(@one clean_bag_stress, Stack, StackNode<u64>, clean_stress_stack_vbr, Vbr,

@@ -23,11 +23,11 @@
 //!   protection/checkpoint functions returning a result that must be consulted are too.
 //!
 //! Documented exceptions live in `tools/smr-lint/allowlist.txt`; see that file for the
-//! format.  Usage:
+//! format.  An entry that waives no finding is reported as a stale waiver.  Usage:
 //!
 //! ```text
 //! cargo run -p smr-lint              # report findings, exit 0
-//! cargo run -p smr-lint -- --gate    # exit 1 on any unsuppressed finding (CI merge gate)
+//! cargo run -p smr-lint -- --gate    # exit 1 on a finding or a stale waiver (CI gate)
 //! ```
 
 use std::fmt;
@@ -82,6 +82,8 @@ impl fmt::Display for Finding {
 
 /// One allowlist entry: `rule path-substring [content-substring]  # comment`.
 struct Allow {
+    /// 1-based line of the entry in the allowlist file.
+    line: usize,
     rule: String,
     path_sub: String,
     content_sub: Option<String>,
@@ -89,7 +91,7 @@ struct Allow {
 
 fn parse_allowlist(text: &str) -> Vec<Allow> {
     let mut out = Vec::new();
-    for raw in text.lines() {
+    for (i, raw) in text.lines().enumerate() {
         let line = raw.split('#').next().unwrap_or("").trim();
         if line.is_empty() {
             continue;
@@ -98,6 +100,7 @@ fn parse_allowlist(text: &str) -> Vec<Allow> {
         let (Some(rule), Some(path_sub)) = (parts.next(), parts.next()) else { continue };
         let rest: Vec<&str> = parts.collect();
         out.push(Allow {
+            line: i + 1,
             rule: rule.to_string(),
             path_sub: path_sub.to_string(),
             content_sub: if rest.is_empty() { None } else { Some(rest.join(" ")) },
@@ -106,13 +109,22 @@ fn parse_allowlist(text: &str) -> Vec<Allow> {
     out
 }
 
-fn suppressed(f: &Finding, allows: &[Allow]) -> bool {
+fn waives(a: &Allow, f: &Finding) -> bool {
     !UNWAIVABLE_RULES.contains(&f.rule)
-        && allows.iter().any(|a| {
-            a.rule == f.rule
-                && f.path.contains(&a.path_sub)
-                && a.content_sub.as_ref().is_none_or(|c| f.line_text.contains(c))
-        })
+        && a.rule == f.rule
+        && f.path.contains(&a.path_sub)
+        && a.content_sub.as_ref().is_none_or(|c| f.line_text.contains(c))
+}
+
+fn suppressed(f: &Finding, allows: &[Allow]) -> bool {
+    allows.iter().any(|a| waives(a, f))
+}
+
+/// Allowlist entries that waive none of `findings`.  A stale entry — one whose function
+/// was deleted or renamed — would silently waive any later finding that happens to
+/// match it, so the gate fails on it.
+fn dead_entries<'a>(allows: &'a [Allow], findings: &[Finding]) -> Vec<&'a Allow> {
+    allows.iter().filter(|a| !findings.iter().any(|f| waives(a, f))).collect()
 }
 
 /// Blanks out comments, string literals and char literals (to spaces, preserving
@@ -654,19 +666,28 @@ fn main() -> ExitCode {
     rule_hot_path_lock(&root, &mut findings);
     rule_must_use_guards(&root, &mut findings);
 
+    let allow_file = rel(&root, &allow_path);
+    let dead = dead_entries(&allows, &findings);
     let (kept, waived): (Vec<_>, Vec<_>) =
         findings.into_iter().partition(|f| !suppressed(f, &allows));
     if !waived.is_empty() {
-        println!("smr-lint: {} finding(s) waived by {}", waived.len(), rel(&root, &allow_path));
+        println!("smr-lint: {} finding(s) waived by {allow_file}", waived.len());
     }
     for f in &kept {
         println!("{f}");
     }
-    if kept.is_empty() {
+    for a in &dead {
+        let content = a.content_sub.as_deref().unwrap_or_default();
+        println!(
+            "stale-waiver: {allow_file}:{}: `{} {} {content}` waives no finding; delete it",
+            a.line, a.rule, a.path_sub
+        );
+    }
+    if kept.is_empty() && dead.is_empty() {
         println!("smr-lint: clean ({} rule families)", 6);
         ExitCode::SUCCESS
     } else {
-        println!("smr-lint: {} finding(s)", kept.len());
+        println!("smr-lint: {} finding(s), {} stale waiver(s)", kept.len(), dead.len());
         if gate {
             ExitCode::FAILURE
         } else {
@@ -810,5 +831,25 @@ mod tests {
             message: String::new(),
         };
         assert!(!suppressed(&other, &allows));
+    }
+
+    #[test]
+    fn a_waiver_that_waives_nothing_is_reported_with_its_line() {
+        let allows = parse_allowlist(
+            "# header\n\
+             unprotected-deref crates/queue/src/lib.rs pub fn len # live\n\
+             unprotected-deref crates/hashmap/src/lib.rs fn get_body # dead\n",
+        );
+        let live = Finding {
+            rule: "unprotected-deref",
+            path: "crates/queue/src/lib.rs".into(),
+            line: 120,
+            line_text: "    pub fn len(&self, handle: &mut Handle) -> usize {".into(),
+            message: String::new(),
+        };
+        let dead = dead_entries(&allows, &[live]);
+        assert_eq!(dead.len(), 1);
+        assert_eq!(dead[0].line, 3);
+        assert_eq!(dead[0].path_sub, "crates/hashmap/src/lib.rs");
     }
 }
