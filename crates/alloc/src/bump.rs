@@ -4,7 +4,7 @@ use std::fmt;
 use std::mem::MaybeUninit;
 use std::ptr::NonNull;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 use crossbeam_utils::CachePadded;
 use debra::{Allocator, AllocatorThread, Headed};
@@ -62,7 +62,7 @@ impl<T> Chunk<T> {
 pub struct BumpAllocator<T> {
     per_thread: Box<[CachePadded<Counters>]>,
     /// Chunks retired by exited thread handles; kept alive until the global is dropped.
-    parked_chunks: Mutex<Vec<Chunk<T>>>,
+    parked_chunks: std::sync::Mutex<Vec<Chunk<T>>>,
     records_per_chunk: usize,
 }
 
@@ -86,7 +86,7 @@ impl<T: Send + 'static> Allocator<T> for BumpAllocator<T> {
         let record_size = std::mem::size_of::<Headed<T>>();
         BumpAllocator {
             per_thread: (0..max_threads).map(|_| CachePadded::new(Counters::default())).collect(),
-            parked_chunks: Mutex::new(Vec::new()),
+            parked_chunks: std::sync::Mutex::new(Vec::new()),
             records_per_chunk: (CHUNK_BYTES / record_size).max(1),
         }
     }

@@ -2,14 +2,14 @@
 
 use std::fmt;
 use std::ptr::NonNull;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 use blockbag::BlockBag;
 use crossbeam_utils::CachePadded;
 use debra::{
-    CodeModifications, ReadProtection, ReclaimSink, Reclaimer, ReclaimerStats, ReclaimerThread,
-    RegistrationError, SchemeProperties, Termination, ThreadStatsSlot, TimingAssumptions,
+    CodeModifications, ReadProtection, ReclaimSink, Reclaimer, ReclaimerThread, RegistrationError,
+    SchemeProperties, Termination, ThreadStatsSlot, ThreadTable, TimingAssumptions,
 };
 
 /// Announcement value of a thread that has never executed an operation.
@@ -45,25 +45,18 @@ impl Default for EbrConfig {
 pub struct ClassicEbr<T> {
     epoch: CachePadded<AtomicU64>,
     announce: Box<[CachePadded<AtomicU64>]>,
-    stats: Box<[CachePadded<ThreadStatsSlot>]>,
-    registered: Box<[AtomicBool]>,
-    orphans: Mutex<Vec<NonNull<T>>>,
+    threads: ThreadTable<T>,
     config: EbrConfig,
-    max_threads: usize,
 }
 
 impl<T: Send + 'static> ClassicEbr<T> {
     /// Creates shared state with a custom configuration.
     pub fn with_config(max_threads: usize, config: EbrConfig) -> Self {
-        assert!(max_threads > 0);
         ClassicEbr {
             epoch: CachePadded::new(AtomicU64::new(0)),
+            threads: ThreadTable::new(max_threads),
             announce: (0..max_threads).map(|_| CachePadded::new(AtomicU64::new(IDLE))).collect(),
-            stats: (0..max_threads).map(|_| CachePadded::new(ThreadStatsSlot::default())).collect(),
-            registered: (0..max_threads).map(|_| AtomicBool::new(false)).collect(),
-            orphans: Mutex::new(Vec::new()),
             config,
-            max_threads,
         }
     }
 
@@ -81,18 +74,7 @@ impl<T: Send + 'static> Reclaimer<T> for ClassicEbr<T> {
     }
 
     fn register(this: &Arc<Self>, tid: usize) -> Result<Self::Thread, RegistrationError> {
-        if tid >= this.max_threads {
-            return Err(RegistrationError::ThreadIdOutOfRange {
-                tid,
-                max_threads: this.max_threads,
-            });
-        }
-        if this.registered[tid]
-            .compare_exchange(false, true, Ordering::SeqCst, Ordering::SeqCst)
-            .is_err()
-        {
-            return Err(RegistrationError::AlreadyRegistered { tid });
-        }
+        this.threads.claim(tid)?;
         this.announce[tid].store(IDLE, Ordering::SeqCst);
         let cap = this.config.block_capacity;
         Ok(ClassicEbrThread {
@@ -109,8 +91,8 @@ impl<T: Send + 'static> Reclaimer<T> for ClassicEbr<T> {
         })
     }
 
-    fn max_threads(&self) -> usize {
-        self.max_threads
+    fn threads(&self) -> &ThreadTable<T> {
+        &self.threads
     }
 
     fn name() -> &'static str {
@@ -132,32 +114,16 @@ impl<T: Send + 'static> Reclaimer<T> for ClassicEbr<T> {
             can_traverse_retired_to_retired: true,
         }
     }
-
-    fn stats(&self) -> ReclaimerStats {
-        let mut agg = ReclaimerStats::default();
-        for s in self.stats.iter() {
-            s.snapshot_into(&mut agg);
-        }
-        agg
-    }
-
-    fn drain_orphans(&self) -> Vec<NonNull<T>> {
-        std::mem::take(&mut *self.orphans.lock().expect("orphans poisoned"))
-    }
 }
 
 impl<T> fmt::Debug for ClassicEbr<T> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("ClassicEbr")
             .field("epoch", &self.epoch.load(Ordering::Relaxed))
-            .field("max_threads", &self.max_threads)
+            .field("max_threads", &self.threads.max_threads())
             .finish()
     }
 }
-
-// SAFETY: raw pointers are stored (behind a mutex) but never dereferenced here.
-unsafe impl<T: Send> Send for ClassicEbr<T> {}
-unsafe impl<T: Send> Sync for ClassicEbr<T> {}
 
 /// Per-thread handle of [`ClassicEbr`].
 pub struct ClassicEbrThread<T: Send + 'static> {
@@ -181,7 +147,7 @@ impl<T: Send + 'static> ClassicEbrThread<T> {
             // Nothing left the bags: the counters and the limbo gauge already hold.
             return;
         }
-        let stats = &self.global.stats[self.tid];
+        let stats = self.global.threads.stats(self.tid);
         ThreadStatsSlot::bump(&stats.reclaimed, reclaimed);
         stats.publish_limbo(
             self.bags.iter().map(BlockBag::len).sum::<usize>() as u64,
@@ -212,7 +178,7 @@ impl<T: Send + 'static> ReclaimerThread<T> for ClassicEbrThread<T> {
         }
 
         let global: &ClassicEbr<T> = &self.global;
-        let stats = &global.stats[self.tid];
+        let stats = global.threads.stats(self.tid);
         // Classic EBR: scan *every* announcement on every operation.
         let all_announced = global.announce.iter().all(|a| {
             let v = a.load(Ordering::SeqCst);
@@ -247,7 +213,7 @@ impl<T: Send + 'static> ReclaimerThread<T> for ClassicEbrThread<T> {
 
     unsafe fn retire<S: ReclaimSink<T>>(&mut self, record: NonNull<T>, _sink: &mut S) {
         self.bags[self.current].push(record);
-        let stats = &self.global.stats[self.tid];
+        let stats = self.global.threads.stats(self.tid);
         ThreadStatsSlot::bump(&stats.retired, 1);
         stats.publish_limbo(
             self.bags.iter().map(BlockBag::len).sum::<usize>() as u64,
@@ -258,14 +224,14 @@ impl<T: Send + 'static> ReclaimerThread<T> for ClassicEbrThread<T> {
 
 impl<T: Send + 'static> Drop for ClassicEbrThread<T> {
     fn drop(&mut self) {
-        let leftovers: Vec<NonNull<T>> =
-            self.bags.iter_mut().flat_map(|b| b.drain().collect::<Vec<_>>()).collect();
-        if !leftovers.is_empty() {
-            self.global.orphans.lock().expect("orphans poisoned").extend(leftovers);
-        }
         // An exited thread no longer holds back the epoch.
         self.global.announce[self.tid].store(IDLE, Ordering::SeqCst);
-        self.global.registered[self.tid].store(false, Ordering::SeqCst);
+        let threads = &self.global.threads;
+        // SAFETY: the slot and the records are this handle's; its announcement is withdrawn.
+        unsafe {
+            threads.orphan(self.tid, self.bags.iter_mut().flat_map(BlockBag::drain));
+            threads.release(self.tid);
+        }
     }
 }
 

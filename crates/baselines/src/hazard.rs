@@ -1,23 +1,23 @@
 //! Michael-style hazard pointers.
 
-use std::collections::HashSet;
 use std::fmt;
 use std::ptr::NonNull;
-use std::sync::atomic::{AtomicBool, AtomicPtr, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::atomic::{AtomicPtr, Ordering};
+use std::sync::Arc;
 
 use blockbag::BlockBag;
-use crossbeam_utils::CachePadded;
 use debra::{
-    CodeModifications, ReclaimSink, Reclaimer, ReclaimerStats, ReclaimerThread, RegistrationError,
-    SchemeProperties, Termination, ThreadStatsSlot, TimingAssumptions,
+    CodeModifications, ReclaimSink, Reclaimer, ReclaimerThread, RegistrationError,
+    SchemeProperties, Termination, ThreadTable, TimingAssumptions,
 };
+
+use crate::slots::AnnounceSlots;
 
 /// Configuration for [`HazardPointers`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct HpConfig {
-    /// Hazard pointer slots per thread (`k` in the paper's analysis).  Lock-free lists and
-    /// trees typically need 2–3; the default leaves headroom.
+    /// Hazard pointer slots per thread (`k` in the paper's analysis), at most 16.
+    /// Lock-free lists and trees typically need 2–3; the default leaves headroom.
     pub slots_per_thread: usize,
     /// Extra retired records accumulated beyond `n*k` before a scan is triggered
     /// (the paper's Ω(nk) term; a larger value trades memory for fewer scans).
@@ -29,17 +29,6 @@ pub struct HpConfig {
 impl Default for HpConfig {
     fn default() -> Self {
         HpConfig { slots_per_thread: 8, scan_slack: 256, block_capacity: 64 }
-    }
-}
-
-/// Per-thread hazard pointer announcement slots (single writer, all threads read).
-struct HpSlots {
-    slots: Box<[AtomicPtr<u8>]>,
-}
-
-impl HpSlots {
-    fn new(k: usize) -> Self {
-        HpSlots { slots: (0..k).map(|_| AtomicPtr::new(std::ptr::null_mut())).collect() }
     }
 }
 
@@ -56,51 +45,24 @@ impl HpSlots {
 ///
 /// [`protect`]: ReclaimerThread::protect
 pub struct HazardPointers<T> {
-    hp: Box<[CachePadded<HpSlots>]>,
-    stats: Box<[CachePadded<ThreadStatsSlot>]>,
-    registered: Box<[AtomicBool]>,
-    orphans: Mutex<Vec<NonNull<T>>>,
+    hp: AnnounceSlots,
+    threads: ThreadTable<T>,
     config: HpConfig,
-    max_threads: usize,
-    _marker: std::marker::PhantomData<fn(T)>,
 }
 
 impl<T: Send + 'static> HazardPointers<T> {
     /// Creates shared hazard pointer state with a custom configuration.
     pub fn with_config(max_threads: usize, config: HpConfig) -> Self {
-        assert!(max_threads > 0);
-        assert!(config.slots_per_thread > 0);
         HazardPointers {
-            hp: (0..max_threads)
-                .map(|_| CachePadded::new(HpSlots::new(config.slots_per_thread)))
-                .collect(),
-            stats: (0..max_threads).map(|_| CachePadded::new(ThreadStatsSlot::default())).collect(),
-            registered: (0..max_threads).map(|_| AtomicBool::new(false)).collect(),
-            orphans: Mutex::new(Vec::new()),
+            threads: ThreadTable::new(max_threads),
+            hp: AnnounceSlots::new(max_threads, config.slots_per_thread),
             config,
-            max_threads,
-            _marker: std::marker::PhantomData,
         }
-    }
-
-    /// Collects every announced hazard pointer into a set of addresses.
-    fn collect_hazards(&self) -> HashSet<usize> {
-        let mut set = HashSet::with_capacity(self.max_threads * self.config.slots_per_thread);
-        for slots in self.hp.iter() {
-            for s in slots.slots.iter() {
-                let p = s.load(Ordering::SeqCst);
-                if !p.is_null() {
-                    set.insert(p as usize);
-                }
-            }
-        }
-        set
     }
 
     /// Returns `true` if any thread currently announces a hazard pointer to `record`.
     pub fn is_protected_by_any(&self, record: NonNull<T>) -> bool {
-        let addr = record.as_ptr() as *mut u8;
-        self.hp.iter().any(|slots| slots.slots.iter().any(|s| s.load(Ordering::SeqCst) == addr))
+        self.hp.announced(record.as_ptr() as *mut u8)
     }
 }
 
@@ -112,18 +74,7 @@ impl<T: Send + 'static> Reclaimer<T> for HazardPointers<T> {
     }
 
     fn register(this: &Arc<Self>, tid: usize) -> Result<Self::Thread, RegistrationError> {
-        if tid >= this.max_threads {
-            return Err(RegistrationError::ThreadIdOutOfRange {
-                tid,
-                max_threads: this.max_threads,
-            });
-        }
-        if this.registered[tid]
-            .compare_exchange(false, true, Ordering::SeqCst, Ordering::SeqCst)
-            .is_err()
-        {
-            return Err(RegistrationError::AlreadyRegistered { tid });
-        }
+        this.threads.claim(tid)?;
         Ok(HazardPointersThread {
             global: Arc::clone(this),
             tid,
@@ -132,8 +83,8 @@ impl<T: Send + 'static> Reclaimer<T> for HazardPointers<T> {
         })
     }
 
-    fn max_threads(&self) -> usize {
-        self.max_threads
+    fn threads(&self) -> &ThreadTable<T> {
+        &self.threads
     }
 
     fn name() -> &'static str {
@@ -155,32 +106,16 @@ impl<T: Send + 'static> Reclaimer<T> for HazardPointers<T> {
             can_traverse_retired_to_retired: false,
         }
     }
-
-    fn stats(&self) -> ReclaimerStats {
-        let mut agg = ReclaimerStats::default();
-        for s in self.stats.iter() {
-            s.snapshot_into(&mut agg);
-        }
-        agg
-    }
-
-    fn drain_orphans(&self) -> Vec<NonNull<T>> {
-        std::mem::take(&mut *self.orphans.lock().expect("orphans poisoned"))
-    }
 }
 
 impl<T> fmt::Debug for HazardPointers<T> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("HazardPointers")
-            .field("max_threads", &self.max_threads)
+            .field("max_threads", &self.threads.max_threads())
             .field("config", &self.config)
             .finish()
     }
 }
-
-// SAFETY: raw pointers are stored but never dereferenced by the reclaimer itself.
-unsafe impl<T: Send> Send for HazardPointers<T> {}
-unsafe impl<T: Send> Sync for HazardPointers<T> {}
 
 /// Per-thread handle of [`HazardPointers`].
 pub struct HazardPointersThread<T: Send + 'static> {
@@ -192,14 +127,14 @@ pub struct HazardPointersThread<T: Send + 'static> {
 
 impl<T: Send + 'static> HazardPointersThread<T> {
     fn scan_threshold(&self) -> usize {
-        let nk = self.global.max_threads * self.global.config.slots_per_thread;
+        let nk = self.global.threads.max_threads() * self.global.config.slots_per_thread;
         nk + nk.max(self.global.config.scan_slack)
     }
 
     /// Scans all hazard pointers and hands every unprotected retired record to the sink
     /// (the amortized-O(1) bulk scan described in the paper's related-work section).
     fn scan<S: ReclaimSink<T>>(&mut self, sink: &mut S) {
-        let hazards = self.global.collect_hazards();
+        let hazards = self.global.hp.collect();
         let mut reclaimed = 0u64;
         for block in self
             .retired
@@ -208,13 +143,13 @@ impl<T: Send + 'static> HazardPointersThread<T> {
             reclaimed += block.len() as u64;
             sink.accept_block(block);
         }
-        let stats = &self.global.stats[self.tid];
+        let stats = self.global.threads.stats(self.tid);
         stats.reclaimed.fetch_add(reclaimed, Ordering::Relaxed);
         stats.publish_limbo(self.retired.len() as u64, std::mem::size_of::<T>() as u64);
     }
 
-    fn my_slots(&self) -> &HpSlots {
-        &self.global.hp[self.tid]
+    fn my_slots(&self) -> &[AtomicPtr<u8>] {
+        self.global.hp.of(self.tid)
     }
 }
 
@@ -225,17 +160,13 @@ impl<T: Send + 'static> ReclaimerThread<T> for HazardPointersThread<T> {
 
     fn leave_qstate<S: ReclaimSink<T>>(&mut self, _sink: &mut S) -> bool {
         self.quiescent = false;
-        self.global.stats[self.tid].operations.fetch_add(1, Ordering::Relaxed);
+        self.global.threads.stats(self.tid).operations.fetch_add(1, Ordering::Relaxed);
         false
     }
 
     fn enter_qstate(&mut self) {
         // Release every hazard pointer held by this thread.
-        for s in self.my_slots().slots.iter() {
-            if !s.load(Ordering::Relaxed).is_null() {
-                s.store(std::ptr::null_mut(), Ordering::Release);
-            }
-        }
+        self.global.hp.clear(self.tid, Ordering::Release);
         self.quiescent = true;
     }
 
@@ -245,7 +176,7 @@ impl<T: Send + 'static> ReclaimerThread<T> for HazardPointersThread<T> {
 
     unsafe fn retire<S: ReclaimSink<T>>(&mut self, record: NonNull<T>, sink: &mut S) {
         self.retired.push(record);
-        let stats = &self.global.stats[self.tid];
+        let stats = self.global.threads.stats(self.tid);
         stats.retired.fetch_add(1, Ordering::Relaxed);
         stats.publish_limbo(self.retired.len() as u64, std::mem::size_of::<T>() as u64);
         if self.retired.len() >= self.scan_threshold() {
@@ -259,7 +190,7 @@ impl<T: Send + 'static> ReclaimerThread<T> for HazardPointersThread<T> {
         record: NonNull<T>,
         mut validate: F,
     ) -> bool {
-        let slots = &self.global.hp[self.tid].slots;
+        let slots = self.my_slots();
         assert!(slot < slots.len(), "hazard pointer slot {slot} out of range");
         // SeqCst store doubles as the memory fence the paper requires after each HP
         // announcement, so that a concurrent scanner cannot miss it.
@@ -273,14 +204,13 @@ impl<T: Send + 'static> ReclaimerThread<T> for HazardPointersThread<T> {
     }
 
     fn unprotect(&mut self, slot: usize) {
-        let slots = &self.global.hp[self.tid].slots;
+        let slots = self.my_slots();
         assert!(slot < slots.len(), "hazard pointer slot {slot} out of range");
         slots[slot].store(std::ptr::null_mut(), Ordering::Release);
     }
 
     fn is_protected(&self, record: NonNull<T>) -> bool {
-        let addr = record.as_ptr() as *mut u8;
-        self.my_slots().slots.iter().any(|s| s.load(Ordering::Relaxed) == addr)
+        self.global.hp.holds(self.tid, record.as_ptr() as *mut u8)
     }
 
     fn protection_slots(&self) -> usize {
@@ -290,14 +220,13 @@ impl<T: Send + 'static> ReclaimerThread<T> for HazardPointersThread<T> {
 
 impl<T: Send + 'static> Drop for HazardPointersThread<T> {
     fn drop(&mut self) {
-        for s in self.my_slots().slots.iter() {
-            s.store(std::ptr::null_mut(), Ordering::SeqCst);
+        self.global.hp.clear(self.tid, Ordering::SeqCst);
+        let threads = &self.global.threads;
+        // SAFETY: the slot and the records are this handle's; its announcement is withdrawn.
+        unsafe {
+            threads.orphan(self.tid, self.retired.drain());
+            threads.release(self.tid);
         }
-        let leftovers: Vec<NonNull<T>> = self.retired.drain().collect();
-        if !leftovers.is_empty() {
-            self.global.orphans.lock().expect("orphans poisoned").extend(leftovers);
-        }
-        self.global.registered[self.tid].store(false, Ordering::SeqCst);
     }
 }
 

@@ -29,6 +29,7 @@
 mod ebr;
 mod hazard;
 mod none;
+mod slots;
 mod threadscan;
 
 pub use ebr::{ClassicEbr, ClassicEbrThread, EbrConfig};

@@ -5,10 +5,9 @@ use std::ptr::NonNull;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
-use crossbeam_utils::CachePadded;
 use debra::{
-    CodeModifications, ReadProtection, ReclaimSink, Reclaimer, ReclaimerStats, ReclaimerThread,
-    RegistrationError, SchemeProperties, Termination, ThreadStatsSlot, TimingAssumptions,
+    CodeModifications, ReadProtection, ReclaimSink, Reclaimer, ReclaimerThread, RegistrationError,
+    SchemeProperties, Termination, ThreadTable, TimingAssumptions,
 };
 
 /// The paper's "None" baseline: retired records are simply abandoned.
@@ -18,45 +17,23 @@ use debra::{
 /// are released only when the backing allocator is torn down (e.g. the bump arena) or when
 /// the data structure is dropped.
 pub struct NoReclaim<T> {
-    stats: Box<[CachePadded<ThreadStatsSlot>]>,
-    registered: Box<[std::sync::atomic::AtomicBool]>,
-    max_threads: usize,
-    _marker: std::marker::PhantomData<fn(T)>,
+    threads: ThreadTable<T>,
 }
 
 impl<T: Send + 'static> Reclaimer<T> for NoReclaim<T> {
     type Thread = NoReclaimThread<T>;
 
     fn new(max_threads: usize) -> Self {
-        assert!(max_threads > 0);
-        NoReclaim {
-            stats: (0..max_threads).map(|_| CachePadded::new(ThreadStatsSlot::default())).collect(),
-            registered: (0..max_threads)
-                .map(|_| std::sync::atomic::AtomicBool::new(false))
-                .collect(),
-            max_threads,
-            _marker: std::marker::PhantomData,
-        }
+        NoReclaim { threads: ThreadTable::new(max_threads) }
     }
 
     fn register(this: &Arc<Self>, tid: usize) -> Result<Self::Thread, RegistrationError> {
-        if tid >= this.max_threads {
-            return Err(RegistrationError::ThreadIdOutOfRange {
-                tid,
-                max_threads: this.max_threads,
-            });
-        }
-        if this.registered[tid]
-            .compare_exchange(false, true, Ordering::SeqCst, Ordering::SeqCst)
-            .is_err()
-        {
-            return Err(RegistrationError::AlreadyRegistered { tid });
-        }
+        this.threads.claim(tid)?;
         Ok(NoReclaimThread { global: Arc::clone(this), tid, quiescent: true })
     }
 
-    fn max_threads(&self) -> usize {
-        self.max_threads
+    fn threads(&self) -> &ThreadTable<T> {
+        &self.threads
     }
 
     fn name() -> &'static str {
@@ -78,19 +55,11 @@ impl<T: Send + 'static> Reclaimer<T> for NoReclaim<T> {
             can_traverse_retired_to_retired: true,
         }
     }
-
-    fn stats(&self) -> ReclaimerStats {
-        let mut agg = ReclaimerStats::default();
-        for s in self.stats.iter() {
-            s.snapshot_into(&mut agg);
-        }
-        agg
-    }
 }
 
 impl<T> fmt::Debug for NoReclaim<T> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("NoReclaim").field("max_threads", &self.max_threads).finish()
+        f.debug_struct("NoReclaim").field("max_threads", &self.threads.max_threads()).finish()
     }
 }
 
@@ -111,7 +80,7 @@ impl<T: Send + 'static> ReclaimerThread<T> for NoReclaimThread<T> {
 
     fn leave_qstate<S: ReclaimSink<T>>(&mut self, _sink: &mut S) -> bool {
         self.quiescent = false;
-        self.global.stats[self.tid].operations.fetch_add(1, Ordering::Relaxed);
+        self.global.threads.stats(self.tid).operations.fetch_add(1, Ordering::Relaxed);
         false
     }
 
@@ -127,7 +96,7 @@ impl<T: Send + 'static> ReclaimerThread<T> for NoReclaimThread<T> {
         // Abandon the record: the whole point of this baseline.  The limbo gauge only
         // ever grows — the unbounded-garbage contrast every bounded scheme is measured
         // against.
-        let stats = &self.global.stats[self.tid];
+        let stats = self.global.threads.stats(self.tid);
         stats.retired.fetch_add(1, Ordering::Relaxed);
         let pending = stats.pending.load(Ordering::Relaxed) + 1;
         stats.publish_limbo(pending, std::mem::size_of::<T>() as u64);
@@ -136,7 +105,9 @@ impl<T: Send + 'static> ReclaimerThread<T> for NoReclaimThread<T> {
 
 impl<T> Drop for NoReclaimThread<T> {
     fn drop(&mut self) {
-        self.global.registered[self.tid].store(false, Ordering::SeqCst);
+        // Nothing is orphaned: the abandoned records stay counted in the limbo gauge.
+        // SAFETY: this handle leased `tid` and keeps no per-thread state in the slot.
+        unsafe { self.global.threads.release(self.tid) };
     }
 }
 

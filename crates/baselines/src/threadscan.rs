@@ -1,25 +1,25 @@
 //! ThreadScan-lite: a fence-free hazard-pointer variant with signal-assisted scanning.
 
-use std::collections::HashSet;
 use std::fmt;
 use std::ptr::NonNull;
-use std::sync::atomic::{AtomicBool, AtomicPtr, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::atomic::{AtomicPtr, Ordering};
+use std::sync::Arc;
 
 use blockbag::BlockBag;
-use crossbeam_utils::CachePadded;
 use debra::{
-    CodeModifications, ReclaimSink, Reclaimer, ReclaimerStats, ReclaimerThread, RegistrationError,
-    SchemeProperties, Termination, ThreadStatsSlot, TimingAssumptions,
+    CodeModifications, ReclaimSink, Reclaimer, ReclaimerThread, RegistrationError,
+    SchemeProperties, Termination, ThreadTable, TimingAssumptions,
 };
 use neutralize::{NeutralizeSlot, SignalDriver, ThreadRegistration};
 use parking_lot::Mutex as ReclaimLock;
 
+use crate::slots::AnnounceSlots;
+
 /// Configuration for [`ThreadScanLite`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ThreadScanConfig {
-    /// Reference slots per thread (the explicit stand-in for ThreadScan's private-memory
-    /// scan; see the crate docs).
+    /// Reference slots per thread, at most 16 (the explicit stand-in for ThreadScan's
+    /// private-memory scan; see the crate docs).
     pub slots_per_thread: usize,
     /// Retired records a thread accumulates before it starts a reclamation pass.
     pub scan_threshold: usize,
@@ -31,10 +31,6 @@ impl Default for ThreadScanConfig {
     fn default() -> Self {
         ThreadScanConfig { slots_per_thread: 8, scan_threshold: 512, block_capacity: 64 }
     }
-}
-
-struct RefSlots {
-    slots: Box<[AtomicPtr<u8>]>,
 }
 
 /// A simplified ThreadScan (Alistarh et al., SPAA'15): local references are announced like
@@ -49,66 +45,35 @@ struct RefSlots {
 /// `DESIGN.md` describes how this stand-in differs from the original (which scans raw
 /// stacks and registers instead of explicit slots).
 pub struct ThreadScanLite<T> {
-    refs: Box<[CachePadded<RefSlots>]>,
+    refs: AnnounceSlots,
     slots: Box<[Arc<NeutralizeSlot>]>,
-    stats: Box<[CachePadded<ThreadStatsSlot>]>,
-    registered: Box<[AtomicBool]>,
+    threads: ThreadTable<T>,
     reclaim_lock: ReclaimLock<()>,
     driver: SignalDriver,
-    orphans: Mutex<Vec<NonNull<T>>>,
     config: ThreadScanConfig,
-    max_threads: usize,
-    _marker: std::marker::PhantomData<fn(T)>,
 }
 
 impl<T: Send + 'static> ThreadScanLite<T> {
     /// Creates shared state with a custom configuration and signal driver.
     pub fn with_config(max_threads: usize, config: ThreadScanConfig, driver: SignalDriver) -> Self {
-        assert!(max_threads > 0);
         ThreadScanLite {
-            refs: (0..max_threads)
-                .map(|_| {
-                    CachePadded::new(RefSlots {
-                        slots: (0..config.slots_per_thread)
-                            .map(|_| AtomicPtr::new(std::ptr::null_mut()))
-                            .collect(),
-                    })
-                })
-                .collect(),
+            threads: ThreadTable::new(max_threads),
+            refs: AnnounceSlots::new(max_threads, config.slots_per_thread),
             slots: (0..max_threads).map(|_| Arc::new(NeutralizeSlot::new())).collect(),
-            stats: (0..max_threads).map(|_| CachePadded::new(ThreadStatsSlot::default())).collect(),
-            registered: (0..max_threads).map(|_| AtomicBool::new(false)).collect(),
             reclaim_lock: ReclaimLock::new(()),
             driver,
-            orphans: Mutex::new(Vec::new()),
             config,
-            max_threads,
-            _marker: std::marker::PhantomData,
         }
-    }
-
-    fn collect_references(&self) -> HashSet<usize> {
-        let mut set = HashSet::new();
-        for slots in self.refs.iter() {
-            for s in slots.slots.iter() {
-                let p = s.load(Ordering::SeqCst);
-                if !p.is_null() {
-                    set.insert(p as usize);
-                }
-            }
-        }
-        set
     }
 
     /// Signals every other registered thread and waits for each to acknowledge.
     fn signal_and_await(&self, my_tid: usize) {
         let before: Vec<u64> = self.slots.iter().map(|s| s.stats().signals_received).collect();
-        #[allow(clippy::needless_range_loop)] // tid indexes three parallel per-thread arrays
-        for tid in 0..self.max_threads {
-            if tid == my_tid || !self.registered[tid].load(Ordering::SeqCst) {
+        for (tid, slot) in self.slots.iter().enumerate() {
+            if tid == my_tid || !self.threads.is_claimed(tid) {
                 continue;
             }
-            if !self.driver.neutralize(&self.slots[tid]) {
+            if !self.driver.neutralize(slot) {
                 continue; // not registered with the driver (e.g. already exiting)
             }
             // ThreadScan's blocking wait: until the target has run its handler (its ack
@@ -116,9 +81,7 @@ impl<T: Send + 'static> ThreadScanLite<T> {
             // Yield on every check: the target can only run its handler if it gets CPU
             // time, and on a single-core host a spinning waiter would deny it exactly that
             // for a whole scheduling quantum.
-            while self.registered[tid].load(Ordering::SeqCst)
-                && self.slots[tid].stats().signals_received <= before[tid]
-            {
+            while self.threads.is_claimed(tid) && slot.stats().signals_received <= before[tid] {
                 std::thread::yield_now();
             }
         }
@@ -133,18 +96,7 @@ impl<T: Send + 'static> Reclaimer<T> for ThreadScanLite<T> {
     }
 
     fn register(this: &Arc<Self>, tid: usize) -> Result<Self::Thread, RegistrationError> {
-        if tid >= this.max_threads {
-            return Err(RegistrationError::ThreadIdOutOfRange {
-                tid,
-                max_threads: this.max_threads,
-            });
-        }
-        if this.registered[tid]
-            .compare_exchange(false, true, Ordering::SeqCst, Ordering::SeqCst)
-            .is_err()
-        {
-            return Err(RegistrationError::AlreadyRegistered { tid });
-        }
+        this.threads.claim(tid)?;
         let registration = this.driver.register_current_thread(Arc::clone(&this.slots[tid]));
         Ok(ThreadScanLiteThread {
             global: Arc::clone(this),
@@ -155,8 +107,8 @@ impl<T: Send + 'static> Reclaimer<T> for ThreadScanLite<T> {
         })
     }
 
-    fn max_threads(&self) -> usize {
-        self.max_threads
+    fn threads(&self) -> &ThreadTable<T> {
+        &self.threads
     }
 
     fn name() -> &'static str {
@@ -178,32 +130,16 @@ impl<T: Send + 'static> Reclaimer<T> for ThreadScanLite<T> {
             can_traverse_retired_to_retired: false,
         }
     }
-
-    fn stats(&self) -> ReclaimerStats {
-        let mut agg = ReclaimerStats::default();
-        for s in self.stats.iter() {
-            s.snapshot_into(&mut agg);
-        }
-        agg
-    }
-
-    fn drain_orphans(&self) -> Vec<NonNull<T>> {
-        std::mem::take(&mut *self.orphans.lock().expect("orphans poisoned"))
-    }
 }
 
 impl<T> fmt::Debug for ThreadScanLite<T> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("ThreadScanLite")
-            .field("max_threads", &self.max_threads)
+            .field("max_threads", &self.threads.max_threads())
             .field("config", &self.config)
             .finish()
     }
 }
-
-// SAFETY: raw pointers are stored but never dereferenced by the reclaimer.
-unsafe impl<T: Send> Send for ThreadScanLite<T> {}
-unsafe impl<T: Send> Sync for ThreadScanLite<T> {}
 
 /// Per-thread handle of [`ThreadScanLite`].
 pub struct ThreadScanLiteThread<T: Send + 'static> {
@@ -215,12 +151,16 @@ pub struct ThreadScanLiteThread<T: Send + 'static> {
 }
 
 impl<T: Send + 'static> ThreadScanLiteThread<T> {
+    fn my_slots(&self) -> &[AtomicPtr<u8>] {
+        self.global.refs.of(self.tid)
+    }
+
     fn scan<S: ReclaimSink<T>>(&mut self, sink: &mut S) {
         let global = Arc::clone(&self.global);
         // Only one thread reclaims at a time (ThreadScan's global reclamation lock).
         let _guard = global.reclaim_lock.lock();
         global.signal_and_await(self.tid);
-        let referenced = global.collect_references();
+        let referenced = global.refs.collect();
         let mut reclaimed = 0u64;
         for block in self
             .retired
@@ -229,7 +169,7 @@ impl<T: Send + 'static> ThreadScanLiteThread<T> {
             reclaimed += block.len() as u64;
             sink.accept_block(block);
         }
-        let stats = &global.stats[self.tid];
+        let stats = global.threads.stats(self.tid);
         stats.reclaimed.fetch_add(reclaimed, Ordering::Relaxed);
         stats.publish_limbo(self.retired.len() as u64, std::mem::size_of::<T>() as u64);
     }
@@ -242,16 +182,12 @@ impl<T: Send + 'static> ReclaimerThread<T> for ThreadScanLiteThread<T> {
 
     fn leave_qstate<S: ReclaimSink<T>>(&mut self, _sink: &mut S) -> bool {
         self.quiescent = false;
-        self.global.stats[self.tid].operations.fetch_add(1, Ordering::Relaxed);
+        self.global.threads.stats(self.tid).operations.fetch_add(1, Ordering::Relaxed);
         false
     }
 
     fn enter_qstate(&mut self) {
-        for s in self.global.refs[self.tid].slots.iter() {
-            if !s.load(Ordering::Relaxed).is_null() {
-                s.store(std::ptr::null_mut(), Ordering::Relaxed);
-            }
-        }
+        self.global.refs.clear(self.tid, Ordering::Relaxed);
         self.quiescent = true;
     }
 
@@ -261,7 +197,7 @@ impl<T: Send + 'static> ReclaimerThread<T> for ThreadScanLiteThread<T> {
 
     unsafe fn retire<S: ReclaimSink<T>>(&mut self, record: NonNull<T>, sink: &mut S) {
         self.retired.push(record);
-        let stats = &self.global.stats[self.tid];
+        let stats = self.global.threads.stats(self.tid);
         stats.retired.fetch_add(1, Ordering::Relaxed);
         stats.publish_limbo(self.retired.len() as u64, std::mem::size_of::<T>() as u64);
         if self.retired.len() >= self.global.config.scan_threshold {
@@ -275,7 +211,7 @@ impl<T: Send + 'static> ReclaimerThread<T> for ThreadScanLiteThread<T> {
         record: NonNull<T>,
         mut validate: F,
     ) -> bool {
-        let slots = &self.global.refs[self.tid].slots;
+        let slots = self.my_slots();
         assert!(slot < slots.len(), "reference slot {slot} out of range");
         // The whole point of ThreadScan: no fence here (Relaxed store).  Visibility to a
         // reclaimer is established by the signal/acknowledgement handshake during scans.
@@ -289,14 +225,13 @@ impl<T: Send + 'static> ReclaimerThread<T> for ThreadScanLiteThread<T> {
     }
 
     fn unprotect(&mut self, slot: usize) {
-        let slots = &self.global.refs[self.tid].slots;
+        let slots = self.my_slots();
         assert!(slot < slots.len(), "reference slot {slot} out of range");
         slots[slot].store(std::ptr::null_mut(), Ordering::Relaxed);
     }
 
     fn is_protected(&self, record: NonNull<T>) -> bool {
-        let addr = record.as_ptr() as *mut u8;
-        self.global.refs[self.tid].slots.iter().any(|s| s.load(Ordering::Relaxed) == addr)
+        self.global.refs.holds(self.tid, record.as_ptr() as *mut u8)
     }
 
     fn protection_slots(&self) -> usize {
@@ -306,14 +241,13 @@ impl<T: Send + 'static> ReclaimerThread<T> for ThreadScanLiteThread<T> {
 
 impl<T: Send + 'static> Drop for ThreadScanLiteThread<T> {
     fn drop(&mut self) {
-        for s in self.global.refs[self.tid].slots.iter() {
-            s.store(std::ptr::null_mut(), Ordering::SeqCst);
+        self.global.refs.clear(self.tid, Ordering::SeqCst);
+        let threads = &self.global.threads;
+        // SAFETY: the slot and the records are this handle's; its announcement is withdrawn.
+        unsafe {
+            threads.orphan(self.tid, self.retired.drain());
+            threads.release(self.tid);
         }
-        let leftovers: Vec<NonNull<T>> = self.retired.drain().collect();
-        if !leftovers.is_empty() {
-            self.global.orphans.lock().expect("orphans poisoned").extend(leftovers);
-        }
-        self.global.registered[self.tid].store(false, Ordering::SeqCst);
     }
 }
 

@@ -2,8 +2,8 @@
 
 use std::fmt;
 use std::ptr::NonNull;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 use blockbag::{Block, BlockBag};
 use crossbeam_utils::CachePadded;
@@ -11,7 +11,8 @@ use neutralize::{AnnounceWord, NeutralizeSlot};
 
 use crate::config::DebraConfig;
 use crate::properties::SchemeProperties;
-use crate::stats::{aggregate, ReclaimerStats, ThreadStatsSlot};
+use crate::stats::ThreadStatsSlot;
+use crate::threads::ThreadTable;
 use crate::traits::{ReadProtection, ReclaimSink, Reclaimer, ReclaimerThread, RegistrationError};
 
 /// Raw epoch increment: the least significant bit of announcement words is the quiescent
@@ -36,26 +37,18 @@ pub(crate) const EPOCH_INCREMENT: u64 = 2;
 pub struct Debra<T> {
     pub(crate) epoch: CachePadded<AtomicU64>,
     pub(crate) slots: Box<[Arc<NeutralizeSlot>]>,
-    registered: Box<[AtomicBool]>,
-    pub(crate) stats: Box<[CachePadded<ThreadStatsSlot>]>,
+    pub(crate) threads: ThreadTable<T>,
     pub(crate) config: DebraConfig,
-    max_threads: usize,
-    /// Retired records handed back by exited threads; reclaimed at teardown.
-    orphans: Mutex<Vec<NonNull<T>>>,
 }
 
 impl<T: Send> Debra<T> {
     /// Creates DEBRA shared state for `max_threads` threads with a custom configuration.
     pub fn with_config(max_threads: usize, config: DebraConfig) -> Self {
-        assert!(max_threads > 0, "max_threads must be positive");
         Debra {
             epoch: CachePadded::new(AtomicU64::new(0)),
+            threads: ThreadTable::new(max_threads),
             slots: (0..max_threads).map(|_| Arc::new(NeutralizeSlot::new())).collect(),
-            registered: (0..max_threads).map(|_| AtomicBool::new(false)).collect(),
-            stats: (0..max_threads).map(|_| CachePadded::new(ThreadStatsSlot::default())).collect(),
             config,
-            max_threads,
-            orphans: Mutex::new(Vec::new()),
         }
     }
 
@@ -77,18 +70,7 @@ impl<T: Send> Debra<T> {
     }
 
     pub(crate) fn do_register(&self, tid: usize) -> Result<(), RegistrationError> {
-        if tid >= self.max_threads {
-            return Err(RegistrationError::ThreadIdOutOfRange {
-                tid,
-                max_threads: self.max_threads,
-            });
-        }
-        if self.registered[tid]
-            .compare_exchange(false, true, Ordering::SeqCst, Ordering::SeqCst)
-            .is_err()
-        {
-            return Err(RegistrationError::AlreadyRegistered { tid });
-        }
+        self.threads.claim(tid)?;
         // A (re-)registered thread starts quiescent at the current epoch.
         self.slots[tid].store_announce(
             AnnounceWord::pack(AnnounceWord::epoch(self.epoch.load(Ordering::SeqCst)), true),
@@ -96,16 +78,6 @@ impl<T: Send> Debra<T> {
         );
         self.slots[tid].clear_neutralized();
         Ok(())
-    }
-
-    pub(crate) fn deregister(&self, tid: usize) {
-        self.slots[tid].set_quiescent();
-        self.registered[tid].store(false, Ordering::SeqCst);
-    }
-
-    pub(crate) fn push_orphans(&self, records: impl IntoIterator<Item = NonNull<T>>) {
-        let mut orphans = self.orphans.lock().expect("orphan list poisoned");
-        orphans.extend(records);
     }
 }
 
@@ -124,8 +96,8 @@ where
         Ok(DebraThread::new(Arc::clone(this), tid))
     }
 
-    fn max_threads(&self) -> usize {
-        self.max_threads
+    fn threads(&self) -> &ThreadTable<T> {
+        &self.threads
     }
 
     fn name() -> &'static str {
@@ -135,31 +107,17 @@ where
     fn properties() -> SchemeProperties {
         SchemeProperties::debra()
     }
-
-    fn stats(&self) -> ReclaimerStats {
-        aggregate(&self.stats)
-    }
-
-    fn drain_orphans(&self) -> Vec<NonNull<T>> {
-        let mut orphans = self.orphans.lock().expect("orphan list poisoned");
-        std::mem::take(&mut *orphans)
-    }
 }
 
 impl<T> fmt::Debug for Debra<T> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("Debra")
             .field("epoch", &self.epoch.load(Ordering::Relaxed))
-            .field("max_threads", &self.max_threads)
+            .field("max_threads", &self.threads.max_threads())
             .field("config", &self.config)
             .finish()
     }
 }
-
-// SAFETY: the only non-Sync field is the orphan list of raw pointers, which is protected by
-// a mutex and never dereferenced here; records are `Send`.
-unsafe impl<T: Send> Send for Debra<T> {}
-unsafe impl<T: Send> Sync for Debra<T> {}
 
 /// The three limbo bags of one thread (the paper's `bags[0..2]` and `index`).
 ///
@@ -190,7 +148,7 @@ impl<T> LimboBags<T> {
     }
 
     /// Publishes the limbo population; called wherever it changes (retire, a rotation that
-    /// reclaimed, orphaning), never on a plain pin.
+    /// reclaimed), never on a plain pin.
     fn publish(&self, stats: &ThreadStatsSlot) {
         stats.publish_limbo(self.len() as u64, std::mem::size_of::<T>() as u64);
     }
@@ -312,8 +270,8 @@ impl<T: Send + 'static> DebraThread<T> {
         let DebraThread { global, slot, tid, limbo, check_next, ops_since_check } = self;
         let global: &Debra<T> = global;
         let tid = *tid;
-        let stats = &global.stats[tid];
-        let n = global.max_threads;
+        let stats = global.threads.stats(tid);
+        let n = global.slots.len();
         let config = &global.config;
         let read_epoch = global.epoch.load(Ordering::SeqCst);
         let my_announce = slot.load_announce(Ordering::SeqCst);
@@ -387,7 +345,7 @@ impl<T: Send + 'static> DebraThread<T> {
         // thread whose decision CAS already succeeded legitimately retires records while its
         // announcement reads quiescent (the completion phase of a decided operation).
         self.limbo.push(record);
-        let stats = &self.global.stats[self.tid];
+        let stats = self.global.threads.stats(self.tid);
         ThreadStatsSlot::bump(&stats.retired, 1);
         self.limbo.publish(stats);
     }
@@ -398,15 +356,6 @@ impl<T: Send + 'static> DebraThread<T> {
 
     pub(crate) fn is_quiescent_impl(&self) -> bool {
         self.slot.is_quiescent()
-    }
-
-    pub(crate) fn orphan_bags(&mut self) {
-        let records: Vec<NonNull<T>> =
-            self.limbo.bags.iter_mut().flat_map(|bag| bag.drain().collect::<Vec<_>>()).collect();
-        if !records.is_empty() {
-            self.global.push_orphans(records);
-        }
-        self.limbo.publish(&self.global.stats[self.tid]);
     }
 }
 
@@ -442,10 +391,15 @@ impl<T: Send + 'static> ReclaimerThread<T> for DebraThread<T> {
 
 impl<T: Send + 'static> Drop for DebraThread<T> {
     fn drop(&mut self) {
-        // Records still in limbo bags are not yet safe to free: hand them to the global so
-        // they can be reclaimed at teardown (or by a future fault tolerant collector).
-        self.orphan_bags();
-        self.global.deregister(self.tid);
+        // An exited thread no longer holds back the epoch.  Records still in limbo bags
+        // are not yet safe to free: the table keeps them for teardown.
+        self.slot.set_quiescent();
+        let threads = &self.global.threads;
+        // SAFETY: the slot and the records are this handle's; its announcement is withdrawn.
+        unsafe {
+            threads.orphan(self.tid, self.limbo.bags.iter_mut().flat_map(BlockBag::drain));
+            threads.release(self.tid);
+        }
     }
 }
 

@@ -12,6 +12,7 @@ use crate::debra::{Debra, DebraThread};
 use crate::properties::SchemeProperties;
 use crate::rprotect::RProtectArray;
 use crate::stats::{ReclaimerStats, ThreadStatsSlot};
+use crate::threads::ThreadTable;
 use crate::traits::{ReadProtection, ReclaimSink, Reclaimer, ReclaimerThread, RegistrationError};
 
 /// Shared state of the DEBRA+ reclaimer.
@@ -127,8 +128,8 @@ impl<T: Send + 'static> Reclaimer<T> for DebraPlus<T> {
         })
     }
 
-    fn max_threads(&self) -> usize {
-        self.base.max_threads()
+    fn threads(&self) -> &ThreadTable<T> {
+        &self.base.threads
     }
 
     fn name() -> &'static str {
@@ -143,10 +144,6 @@ impl<T: Send + 'static> Reclaimer<T> for DebraPlus<T> {
         let mut stats = self.base.stats();
         stats.neutralized = self.neutralizations();
         stats
-    }
-
-    fn drain_orphans(&self) -> Vec<NonNull<T>> {
-        self.base.drain_orphans()
     }
 
     fn is_thread_neutralized(&self, tid: usize) -> bool {
@@ -240,7 +237,7 @@ impl<T: Send + 'static> ReclaimerThread<T> for DebraPlusThread<T> {
                 }
                 let sent = plus.driver.neutralize(plus.base.slot(other));
                 if sent {
-                    ThreadStatsSlot::bump(&plus.base.stats[tid].signals_sent, 1);
+                    ThreadStatsSlot::bump(&plus.base.threads.stats(tid).signals_sent, 1);
                 }
                 sent
             },
@@ -284,7 +281,7 @@ impl<T: Send + 'static> ReclaimerThread<T> for DebraPlusThread<T> {
     }
 
     fn begin_recovery(&mut self) {
-        ThreadStatsSlot::bump(&self.plus.base.stats[self.inner.tid()].neutralized, 1);
+        ThreadStatsSlot::bump(&self.plus.base.threads.stats(self.inner.tid()).neutralized, 1);
         self.inner.slot().clear_neutralized();
         // The thread stays quiescent (the handler already set the quiescent bit); recovery
         // code may access only R-protected records until the next `leave_qstate`.
@@ -294,8 +291,8 @@ impl<T: Send + 'static> ReclaimerThread<T> for DebraPlusThread<T> {
 impl<T: Send + 'static> Drop for DebraPlusThread<T> {
     fn drop(&mut self) {
         self.plus.rprotected[self.inner.tid()].unprotect_all();
-        // `inner`'s Drop hands the remaining limbo records to the global orphan list and
-        // deregisters the slot; `_registration`'s Drop detaches the signal target.
+        // `inner`'s Drop withdraws the announcement, orphans the remaining limbo records
+        // and releases the slot; `_registration`'s Drop detaches the signal target.
     }
 }
 

@@ -73,6 +73,7 @@ pub mod properties;
 pub mod record_manager;
 pub mod rprotect;
 pub mod stats;
+pub mod threads;
 pub mod traits;
 
 pub use crate::atomic::{Atomic, Owned, Pinned, Shared};
@@ -87,6 +88,7 @@ pub use crate::properties::{CodeModifications, SchemeProperties, Termination, Ti
 pub use crate::record_manager::{OpGuard, RecordManager, RecordManagerThread};
 pub use crate::rprotect::RProtectArray;
 pub use crate::stats::{PoolStats, ReclaimerStats, ThreadStatsSlot};
+pub use crate::threads::ThreadTable;
 pub use crate::traits::{
     Allocator, AllocatorRequirement, AllocatorThread, CountingSink, Pool, PoolThread,
     ReadProtection, ReclaimSink, Reclaimer, ReclaimerThread, RegistrationError,

@@ -42,7 +42,6 @@ where
     reclaimer: Arc<R>,
     pool: Arc<P>,
     alloc: Arc<A>,
-    max_threads: usize,
     /// This manager's id in the smr-check shadow table.
     #[cfg(feature = "smr_sanitize")]
     shadow_mgr: u64,
@@ -83,7 +82,6 @@ where
                 A::name()
             );
         }
-        let max_threads = reclaimer.max_threads();
         #[cfg(feature = "smr_sanitize")]
         let shadow_mgr = {
             let r = Arc::clone(&reclaimer);
@@ -102,7 +100,6 @@ where
             reclaimer,
             pool,
             alloc,
-            max_threads,
             #[cfg(feature = "smr_sanitize")]
             shadow_mgr,
             _marker: PhantomData,
@@ -147,14 +144,15 @@ where
     pub fn register_auto(
         self: &Arc<Self>,
     ) -> Result<RecordManagerThread<T, R, P, A>, RegistrationError> {
-        for tid in 0..self.max_threads {
+        let max_threads = self.max_threads();
+        for tid in 0..max_threads {
             match self.register(tid) {
                 Ok(handle) => return Ok(handle),
                 Err(RegistrationError::AlreadyRegistered { .. }) => continue,
                 Err(e) => return Err(e),
             }
         }
-        Err(RegistrationError::Exhausted { max_threads: self.max_threads })
+        Err(RegistrationError::Exhausted { max_threads })
     }
 
     /// The shared reclaimer instance.
@@ -174,7 +172,7 @@ where
 
     /// Maximum number of threads this manager supports.
     pub fn max_threads(&self) -> usize {
-        self.max_threads
+        self.reclaimer.max_threads()
     }
 
     /// Returns an allocator handle suitable for teardown work (freeing the records still
@@ -241,7 +239,7 @@ where
             .field("reclaimer", &R::name())
             .field("pool", &P::name())
             .field("allocator", &A::name())
-            .field("max_threads", &self.max_threads)
+            .field("max_threads", &self.max_threads())
             .finish()
     }
 }

@@ -2,10 +2,9 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use crossbeam_utils::CachePadded;
-
-/// Cache-padded per-thread statistic counters, owned by the reclaimer's global state and
-/// written (with relaxed ordering) only by the owning thread.
+/// Per-thread statistic counters, kept cache-padded in the reclaimer's
+/// [`ThreadTable`](crate::ThreadTable) and written (with relaxed ordering) only by the
+/// owning thread.
 #[derive(Debug, Default)]
 pub struct ThreadStatsSlot {
     /// Records handed to [`retire`](crate::ReclaimerThread::retire).
@@ -71,8 +70,8 @@ impl ThreadStatsSlot {
         counter.store(counter.load(Ordering::Relaxed).wrapping_add(n), Ordering::Relaxed);
     }
 
-    /// Adds this thread's counters into an aggregate snapshot (used by reclaimer
-    /// implementations, including those in other crates, to build [`ReclaimerStats`]).
+    /// Adds this thread's counters into an aggregate snapshot (see
+    /// [`ThreadTable::snapshot`](crate::ThreadTable::snapshot)).
     pub fn snapshot_into(&self, agg: &mut ReclaimerStats) {
         agg.retired += self.retired.load(Ordering::Relaxed);
         agg.reclaimed += self.reclaimed.load(Ordering::Relaxed);
@@ -159,31 +158,21 @@ impl PoolStats {
     }
 }
 
-/// Aggregates the per-thread slots of a reclaimer into a [`ReclaimerStats`] snapshot.
-pub(crate) fn aggregate(slots: &[CachePadded<ThreadStatsSlot>]) -> ReclaimerStats {
-    let mut agg = ReclaimerStats::default();
-    for s in slots {
-        s.snapshot_into(&mut agg);
-    }
-    agg
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::threads::ThreadTable;
 
     #[test]
     fn aggregation_sums_all_threads() {
-        let slots: Vec<CachePadded<ThreadStatsSlot>> = (0..4)
-            .map(|i| {
-                let s = ThreadStatsSlot::default();
-                s.retired.store(i + 1, Ordering::Relaxed);
-                s.reclaimed.store(i, Ordering::Relaxed);
-                s.operations.store(10 * (i + 1), Ordering::Relaxed);
-                CachePadded::new(s)
-            })
-            .collect();
-        let agg = aggregate(&slots);
+        let table: ThreadTable<u64> = ThreadTable::new(4);
+        for i in 0..4u64 {
+            let s = table.stats(i as usize);
+            s.retired.store(i + 1, Ordering::Relaxed);
+            s.reclaimed.store(i, Ordering::Relaxed);
+            s.operations.store(10 * (i + 1), Ordering::Relaxed);
+        }
+        let agg = table.snapshot();
         assert_eq!(agg.retired, 1 + 2 + 3 + 4);
         assert_eq!(agg.reclaimed, 1 + 2 + 3);
         assert_eq!(agg.operations, 10 + 20 + 30 + 40);

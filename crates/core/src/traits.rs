@@ -16,6 +16,7 @@ use neutralize::Neutralized;
 
 use crate::properties::SchemeProperties;
 use crate::stats::{PoolStats, ReclaimerStats};
+use crate::threads::ThreadTable;
 
 /// Error returned when registering a thread with a shared component fails.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -170,8 +171,13 @@ pub trait Reclaimer<T: Send>: Send + Sync + Sized + 'static {
     /// Fails if `tid` is out of range or already registered.
     fn register(this: &Arc<Self>, tid: usize) -> Result<Self::Thread, RegistrationError>;
 
+    /// The instance's slot leases, per-thread statistics and orphan list.
+    fn threads(&self) -> &ThreadTable<T>;
+
     /// Maximum number of threads this instance supports.
-    fn max_threads(&self) -> usize;
+    fn max_threads(&self) -> usize {
+        self.threads().max_threads()
+    }
 
     /// Short human-readable name of the scheme (e.g. `"DEBRA+"`).
     fn name() -> &'static str;
@@ -180,13 +186,15 @@ pub trait Reclaimer<T: Send>: Send + Sync + Sized + 'static {
     fn properties() -> SchemeProperties;
 
     /// Aggregated statistics across all threads.
-    fn stats(&self) -> ReclaimerStats;
+    fn stats(&self) -> ReclaimerStats {
+        self.threads().snapshot()
+    }
 
     /// Retired records handed back by threads that have exited before the records became
     /// safe to free.  Called during teardown, when the caller guarantees that no thread is
     /// still accessing the data structure.
     fn drain_orphans(&self) -> Vec<NonNull<T>> {
-        Vec::new()
+        self.threads().drain_orphans()
     }
 
     /// What this scheme demands of the allocator it is paired with.  Checked once at

@@ -101,14 +101,14 @@
 
 use std::fmt;
 use std::ptr::NonNull;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use blockbag::BlockBag;
 use crossbeam_utils::CachePadded;
 use debra::{
-    header_of, CodeModifications, ReclaimSink, Reclaimer, ReclaimerStats, ReclaimerThread,
-    RegistrationError, SchemeProperties, Termination, ThreadStatsSlot, TimingAssumptions,
+    header_of, CodeModifications, ReclaimSink, Reclaimer, ReclaimerThread, RegistrationError,
+    SchemeProperties, Termination, ThreadStatsSlot, ThreadTable, TimingAssumptions,
 };
 
 /// Reservation slot value meaning "no active reservation" (lower bound).
@@ -191,30 +191,21 @@ fn pinner(pins: &[Pin], self_tid: usize, birth: u64, retire: u64) -> Option<Pin>
 pub struct Ibr<T> {
     era: CachePadded<AtomicU64>,
     reservations: Box<[CachePadded<Reservation>]>,
-    stats: Box<[CachePadded<ThreadStatsSlot>]>,
-    registered: Box<[AtomicBool]>,
-    /// Limbo handed back by exited threads: locked in `IbrThread::drop` and
-    /// `drain_orphans` only, never on an operation's path.
-    orphans: std::sync::Mutex<Vec<NonNull<T>>>,
+    threads: ThreadTable<T>,
     config: IbrConfig,
-    max_threads: usize,
 }
 
 impl<T: Send + 'static> Ibr<T> {
     /// Creates shared state with a custom configuration.
     pub fn with_config(max_threads: usize, config: IbrConfig) -> Self {
-        assert!(max_threads > 0, "max_threads must be positive");
         assert!(config.era_freq > 0 && config.scan_freq > 0);
         Ibr {
             era: CachePadded::new(AtomicU64::new(config.initial_era)),
+            threads: ThreadTable::new(max_threads),
             reservations: (0..max_threads)
                 .map(|_| CachePadded::new(Reservation::inactive()))
                 .collect(),
-            stats: (0..max_threads).map(|_| CachePadded::new(ThreadStatsSlot::default())).collect(),
-            registered: (0..max_threads).map(|_| AtomicBool::new(false)).collect(),
-            orphans: std::sync::Mutex::new(Vec::new()),
             config,
-            max_threads,
         }
     }
 
@@ -235,7 +226,7 @@ impl<T: Send + 'static> Ibr<T> {
             .compare_exchange(current, current + 1, Ordering::SeqCst, Ordering::SeqCst)
             .is_ok()
         {
-            ThreadStatsSlot::bump(&self.stats[tid].epochs_advanced, 1);
+            ThreadStatsSlot::bump(&self.threads.stats(tid).epochs_advanced, 1);
             true
         } else {
             // Another thread advanced it; that serves the same purpose.
@@ -265,31 +256,21 @@ impl<T: Send + 'static> Reclaimer<T> for Ibr<T> {
     }
 
     fn register(this: &Arc<Self>, tid: usize) -> Result<Self::Thread, RegistrationError> {
-        if tid >= this.max_threads {
-            return Err(RegistrationError::ThreadIdOutOfRange {
-                tid,
-                max_threads: this.max_threads,
-            });
-        }
-        if this.registered[tid]
-            .compare_exchange(false, true, Ordering::SeqCst, Ordering::SeqCst)
-            .is_err()
-        {
-            return Err(RegistrationError::AlreadyRegistered { tid });
-        }
+        this.threads.claim(tid)?;
         this.reservations[tid].lower.store(INACTIVE_LOWER, Ordering::SeqCst);
         this.reservations[tid].upper.store(INACTIVE_UPPER, Ordering::SeqCst);
         let cap = this.config.block_capacity;
+        let max_threads = this.threads.max_threads();
         Ok(IbrThread {
             global: Arc::clone(this),
             tid,
             limbo: BlockBag::with_block_capacity(cap),
             ready: BlockBag::with_block_capacity(cap),
-            held: (0..this.max_threads)
+            held: (0..max_threads)
                 .map(|_| Held { lower: INACTIVE_LOWER, records: Vec::new() })
                 .collect(),
             held_len: 0,
-            pins: Vec::with_capacity(this.max_threads),
+            pins: Vec::with_capacity(max_threads),
             retest: Vec::new(),
             ops_since_advance: 0,
             #[cfg(test)]
@@ -297,8 +278,8 @@ impl<T: Send + 'static> Reclaimer<T> for Ibr<T> {
         })
     }
 
-    fn max_threads(&self) -> usize {
-        self.max_threads
+    fn threads(&self) -> &ThreadTable<T> {
+        &self.threads
     }
 
     fn name() -> &'static str {
@@ -322,33 +303,17 @@ impl<T: Send + 'static> Reclaimer<T> for Ibr<T> {
             can_traverse_retired_to_retired: true,
         }
     }
-
-    fn stats(&self) -> ReclaimerStats {
-        let mut agg = ReclaimerStats::default();
-        for s in self.stats.iter() {
-            s.snapshot_into(&mut agg);
-        }
-        agg
-    }
-
-    fn drain_orphans(&self) -> Vec<NonNull<T>> {
-        std::mem::take(&mut *self.orphans.lock().expect("orphans poisoned"))
-    }
 }
 
 impl<T> fmt::Debug for Ibr<T> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("Ibr")
             .field("era", &self.era.load(Ordering::Relaxed))
-            .field("max_threads", &self.max_threads)
+            .field("max_threads", &self.threads.max_threads())
             .field("config", &self.config)
             .finish()
     }
 }
-
-// SAFETY: raw pointers are stored (behind a mutex) but never dereferenced here.
-unsafe impl<T: Send> Send for Ibr<T> {}
-unsafe impl<T: Send> Sync for Ibr<T> {}
 
 /// Survivors of earlier scans, all pinned by one thread's reservation.
 struct Held<T> {
@@ -408,8 +373,8 @@ impl<T: Send + 'static> IbrThread<T> {
     }
 
     fn publish_pending(&self) {
-        self.global.stats[self.tid]
-            .publish_limbo(self.limbo_len() as u64, std::mem::size_of::<T>() as u64);
+        let stats = self.global.threads.stats(self.tid);
+        stats.publish_limbo(self.limbo_len() as u64, std::mem::size_of::<T>() as u64);
     }
 
     fn maybe_advance_era(&mut self) {
@@ -465,7 +430,7 @@ impl<T: Send + 'static> IbrThread<T> {
             file(record);
         }
 
-        let stats = &self.global.stats[self.tid];
+        let stats = self.global.threads.stats(self.tid);
         let mut reclaimed = 0u64;
         for block in self.ready.take_full_blocks() {
             reclaimed += block.len() as u64;
@@ -496,7 +461,7 @@ impl<T: Send + 'static> ReclaimerThread<T> for IbrThread<T> {
         // the SeqCst stores guarantee.
         r.upper.store(era, Ordering::SeqCst);
         r.lower.store(era, Ordering::SeqCst);
-        ThreadStatsSlot::bump(&self.global.stats[self.tid].operations, 1);
+        ThreadStatsSlot::bump(&self.global.threads.stats(self.tid).operations, 1);
         self.maybe_advance_era();
         // Scans run from `retire`, the only place the limbo grows.
         false
@@ -532,7 +497,7 @@ impl<T: Send + 'static> ReclaimerThread<T> for IbrThread<T> {
         // Only this thread's scan reads the word back.
         unsafe { header_of(record) }.retire.store(era, Ordering::Relaxed);
         self.limbo.push(record);
-        ThreadStatsSlot::bump(&self.global.stats[self.tid].retired, 1);
+        ThreadStatsSlot::bump(&self.global.threads.stats(self.tid).retired, 1);
         self.maybe_advance_era();
         if self.limbo.len() >= self.global.config.scan_freq {
             self.scan(sink);
@@ -583,17 +548,14 @@ impl<T: Send + 'static> ReclaimerThread<T> for IbrThread<T> {
 
 impl<T: Send + 'static> Drop for IbrThread<T> {
     fn drop(&mut self) {
-        let mut leftovers: Vec<NonNull<T>> = self.limbo.drain().chain(self.ready.drain()).collect();
-        for group in self.held.iter_mut() {
-            leftovers.append(&mut group.records);
-        }
-        self.held_len = 0;
-        if !leftovers.is_empty() {
-            self.global.orphans.lock().expect("orphans poisoned").extend(leftovers);
-        }
-        self.publish_pending();
         self.enter_qstate();
-        self.global.registered[self.tid].store(false, Ordering::SeqCst);
+        let held = self.held.iter_mut().flat_map(|group| group.records.drain(..));
+        let threads = &self.global.threads;
+        // SAFETY: the slot and the records are this handle's; its announcement is withdrawn.
+        unsafe {
+            threads.orphan(self.tid, self.limbo.drain().chain(self.ready.drain()).chain(held));
+            threads.release(self.tid);
+        }
     }
 }
 
@@ -639,6 +601,7 @@ mod loom_model {
 mod tests {
     use super::*;
     use debra::{CountingSink, Headed};
+    use std::sync::atomic::AtomicBool;
 
     /// A record with a header in front, as the Record Manager's allocators lay it out.
     fn leak(v: u64) -> NonNull<u64> {

@@ -6,7 +6,7 @@ use std::fmt;
 use std::mem::{size_of, MaybeUninit};
 use std::ptr::NonNull;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, OnceLock};
 
 use blockbag::{Block, SharedBlockBag, DEFAULT_BLOCK_CAPACITY};
 use debra::Headed;
@@ -45,7 +45,7 @@ struct PageMeta {
 /// [`PagePoolThread`]: crate::PagePoolThread
 pub struct PageStore<T> {
     /// Mapped pages (base address + extent); the backing slabs are intentionally leaked.
-    pages: Mutex<Vec<PageMeta>>,
+    pages: std::sync::Mutex<Vec<PageMeta>>,
     /// Carved slots not currently held by any thread-local cache.
     free: SharedBlockBag<T>,
     pages_mapped: AtomicU64,
@@ -61,7 +61,7 @@ pub struct PageStore<T> {
 impl<T> PageStore<T> {
     fn new() -> Self {
         PageStore {
-            pages: Mutex::new(Vec::new()),
+            pages: std::sync::Mutex::new(Vec::new()),
             free: SharedBlockBag::new(),
             pages_mapped: AtomicU64::new(0),
             slots_total: AtomicU64::new(0),
@@ -182,7 +182,7 @@ impl<T> fmt::Debug for PageStore<T> {
 /// Entries are never removed — that, together with the store never unmapping pages, is
 /// the whole type-stability argument: the store (and so every page) for a type lives as
 /// long as the process once the first allocation happens.
-type Registry = Mutex<HashMap<TypeId, Arc<dyn Any + Send + Sync>>>;
+type Registry = std::sync::Mutex<HashMap<TypeId, Arc<dyn Any + Send + Sync>>>;
 
 static REGISTRY: OnceLock<Registry> = OnceLock::new();
 
@@ -193,7 +193,7 @@ static REGISTRY: OnceLock<Registry> = OnceLock::new();
 /// recycle across Record Manager instances and repeated trials reuse pages instead of
 /// mapping new ones.
 pub fn store_for<T: Send + 'static>() -> Arc<PageStore<T>> {
-    let registry = REGISTRY.get_or_init(|| Mutex::new(HashMap::new()));
+    let registry = REGISTRY.get_or_init(|| Registry::new(HashMap::new()));
     let mut map = registry.lock().expect("page-store registry poisoned");
     let entry = map
         .entry(TypeId::of::<T>())

@@ -57,15 +57,15 @@
 use std::collections::VecDeque;
 use std::fmt;
 use std::ptr::NonNull;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 use std::time::Instant;
 
 use crossbeam_utils::CachePadded;
 use debra::{
     header_of, AllocatorRequirement, CodeModifications, ReadProtection, ReclaimSink, Reclaimer,
-    ReclaimerStats, ReclaimerThread, RegistrationError, SchemeProperties, Termination,
-    ThreadStatsSlot, TimingAssumptions,
+    ReclaimerThread, RegistrationError, SchemeProperties, Termination, ThreadStatsSlot,
+    ThreadTable, TimingAssumptions,
 };
 use neutralize::Neutralized;
 
@@ -128,12 +128,8 @@ pub struct Vbr<T> {
     /// Throttle state: nanoseconds (since `tick_origin`) of the last clock tick.
     last_tick_nanos: CachePadded<AtomicU64>,
     tick_origin: Instant,
-    stats: Box<[CachePadded<ThreadStatsSlot>]>,
-    registered: Box<[AtomicBool]>,
-    /// Limbo batches handed back by exiting threads; adopted by `drain_orphans`.
-    orphans: Mutex<Vec<NonNull<T>>>,
+    threads: ThreadTable<T>,
     config: VbrConfig,
-    max_threads: usize,
 }
 
 impl<T> Vbr<T> {
@@ -192,24 +188,11 @@ impl<T> Vbr<T> {
         let advanced =
             self.clock.compare_exchange(cur, cur + 1, Ordering::SeqCst, Ordering::SeqCst).is_ok();
         if advanced {
-            self.stats[tid].epochs_advanced.fetch_add(1, Ordering::Relaxed);
+            self.threads.stats(tid).epochs_advanced.fetch_add(1, Ordering::Relaxed);
         }
         advanced
     }
-
-    /// Hands back records stranded in the orphan list by exited threads.
-    /// Caller takes ownership; records are already past their grace period or
-    /// the pool is being torn down.
-    pub fn drain_orphans(&self) -> Vec<NonNull<T>> {
-        std::mem::take(&mut *self.orphans.lock().unwrap())
-    }
 }
-
-// SAFETY: the shared state is all atomics, a mutex, and immutable configuration;
-// the raw record pointers in `orphans` are owned retired records (no aliasing
-// mutable access) and `T: Send` lets them migrate threads.
-unsafe impl<T: Send> Send for Vbr<T> {}
-unsafe impl<T: Send> Sync for Vbr<T> {}
 
 impl<T: Send + 'static> Reclaimer<T> for Vbr<T> {
     type Thread = VbrThread<T>;
@@ -223,18 +206,7 @@ impl<T: Send + 'static> Reclaimer<T> for Vbr<T> {
     }
 
     fn register(this: &Arc<Self>, tid: usize) -> Result<Self::Thread, RegistrationError> {
-        if tid >= this.max_threads {
-            return Err(RegistrationError::ThreadIdOutOfRange {
-                tid,
-                max_threads: this.max_threads,
-            });
-        }
-        if this.registered[tid]
-            .compare_exchange(false, true, Ordering::SeqCst, Ordering::SeqCst)
-            .is_err()
-        {
-            return Err(RegistrationError::AlreadyRegistered { tid });
-        }
+        this.threads.claim(tid)?;
         Ok(VbrThread {
             global: Arc::clone(this),
             tid,
@@ -249,8 +221,8 @@ impl<T: Send + 'static> Reclaimer<T> for Vbr<T> {
         })
     }
 
-    fn max_threads(&self) -> usize {
-        self.max_threads
+    fn threads(&self) -> &ThreadTable<T> {
+        &self.threads
     }
 
     fn name() -> &'static str {
@@ -272,31 +244,19 @@ impl<T: Send + 'static> Reclaimer<T> for Vbr<T> {
             can_traverse_retired_to_retired: true,
         }
     }
-
-    fn stats(&self) -> ReclaimerStats {
-        let mut agg = ReclaimerStats::default();
-        for s in self.stats.iter() {
-            s.snapshot_into(&mut agg);
-        }
-        agg
-    }
 }
 
 impl<T: Send + 'static> Vbr<T> {
     /// Creates the shared state with an explicit configuration.
     pub fn with_config(max_threads: usize, config: VbrConfig) -> Self {
-        assert!(max_threads > 0);
         assert!(config.epoch_freq > 0, "epoch_freq must be positive");
         assert!(config.pin_probe_period > 0, "pin_probe_period must be positive");
         Vbr {
             clock: CachePadded::new(AtomicU64::new(config.initial_version)),
             last_tick_nanos: CachePadded::new(AtomicU64::new(0)),
             tick_origin: Instant::now(),
-            stats: (0..max_threads).map(|_| CachePadded::new(ThreadStatsSlot::default())).collect(),
-            registered: (0..max_threads).map(|_| AtomicBool::new(false)).collect(),
-            orphans: Mutex::new(Vec::new()),
+            threads: ThreadTable::new(max_threads),
             config,
-            max_threads,
         }
     }
 }
@@ -305,7 +265,7 @@ impl<T> fmt::Debug for Vbr<T> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("Vbr")
             .field("clock", &self.clock.load(Ordering::Relaxed))
-            .field("max_threads", &self.max_threads)
+            .field("max_threads", &self.threads.max_threads())
             .field("config", &self.config)
             .finish()
     }
@@ -344,8 +304,8 @@ impl<T> VbrThread<T> {
         self.op_version
     }
 
-    fn stats(&self) -> &ThreadStatsSlot {
-        &self.global.stats[self.tid]
+    fn thread_stats(&self) -> &ThreadStatsSlot {
+        self.global.threads.stats(self.tid)
     }
 
     /// `clock - op_version`: 0 = fresh, 1 = validate, >= 2 = stale.  The clock
@@ -378,7 +338,7 @@ impl<T> VbrThread<T> {
             }
         }
         if reclaimed > 0 {
-            let stats = self.stats();
+            let stats = self.thread_stats();
             ThreadStatsSlot::bump(&stats.reclaimed, reclaimed);
             stats.publish_limbo(self.limbo_len as u64, std::mem::size_of::<T>() as u64);
         }
@@ -398,7 +358,7 @@ impl<T: Send + 'static> ReclaimerThread<T> for VbrThread<T> {
         self.quiescent = false;
         self.ops_pending += 1;
         if self.ops_pending >= OPS_FLUSH_PERIOD {
-            ThreadStatsSlot::bump(&self.stats().operations, self.ops_pending);
+            ThreadStatsSlot::bump(&self.thread_stats().operations, self.ops_pending);
             self.ops_pending = 0;
         }
         let mut v = self.global.clock.load(Ordering::SeqCst);
@@ -452,7 +412,7 @@ impl<T: Send + 'static> ReclaimerThread<T> for VbrThread<T> {
             _ => self.limbo.push_back(Batch { version: clock, records: vec![record] }),
         }
         self.limbo_len += 1;
-        let stats = self.stats();
+        let stats = self.thread_stats();
         ThreadStatsSlot::bump(&stats.retired, 1);
         stats.publish_limbo(self.limbo_len as u64, std::mem::size_of::<T>() as u64);
         self.retires_since_tick += 1;
@@ -511,7 +471,7 @@ impl<T: Send + 'static> VbrThread<T> {
             // Stale: some batch retired after our snapshot may already be
             // recycled.  Refuse; the guard layer converts this into a typed
             // Restart and the operation re-pins.
-            self.stats().epoch_stalls.fetch_add(1, Ordering::Relaxed);
+            self.thread_stats().epoch_stalls.fetch_add(1, Ordering::Relaxed);
             return false;
         }
         // Exactly one tick elapsed.  Nothing is recycled yet (that takes two),
@@ -540,27 +500,24 @@ impl<T: Send + 'static> VbrThread<T> {
     #[cold]
     #[inline(never)]
     fn check_cold(&self) {
-        self.stats().epoch_stalls.fetch_add(1, Ordering::Relaxed);
+        self.thread_stats().epoch_stalls.fetch_add(1, Ordering::Relaxed);
     }
 }
 
 impl<T> Drop for VbrThread<T> {
     fn drop(&mut self) {
         if self.ops_pending > 0 {
-            ThreadStatsSlot::bump(&self.stats().operations, self.ops_pending);
+            ThreadStatsSlot::bump(&self.thread_stats().operations, self.ops_pending);
             self.ops_pending = 0;
         }
-        // Hand unreclaimed limbo to the global orphan list (the pool adopts it
-        // at teardown) and free the registration slot.
-        let mut leftover: Vec<NonNull<T>> = Vec::with_capacity(self.limbo_len);
-        for batch in self.limbo.drain(..) {
-            leftover.extend(batch.records);
+        // No announcement to withdraw: hand unreclaimed limbo to the orphan list
+        // (the Record Manager frees it at teardown) and free the slot.
+        let threads = &self.global.threads;
+        // SAFETY: the slot and the records are this handle's; VBR announces nothing.
+        unsafe {
+            threads.orphan(self.tid, self.limbo.drain(..).flat_map(|batch| batch.records));
+            threads.release(self.tid);
         }
-        if !leftover.is_empty() {
-            self.global.orphans.lock().unwrap().extend(leftover);
-        }
-        self.stats().publish_limbo(0, std::mem::size_of::<T>() as u64);
-        self.global.registered[self.tid].store(false, Ordering::SeqCst);
     }
 }
 

@@ -6,8 +6,8 @@ use std::ptr::NonNull;
 use std::sync::Arc;
 
 use debra_repro::debra::{
-    Allocator, Atomic, Debra, DebraPlus, Domain, Pool, Reclaimer, RecordManager, RegistrationError,
-    Restart,
+    Allocator, Atomic, CountingSink, Debra, DebraPlus, Domain, Headed, Pool, Reclaimer,
+    ReclaimerThread, RecordManager, RegistrationError, Restart,
 };
 use debra_repro::lockfree_ds::{ConcurrentMap, HarrisMichaelList, ListNode, SkipList, SkipNode};
 use debra_repro::smr_alloc::{SystemAllocator, ThreadPool};
@@ -21,9 +21,12 @@ use debra_repro::smr_vbr::Vbr;
 /// at the Record Manager level (register → drop → re-register, thrice for good measure).
 macro_rules! slot_reuse_after_drop {
     ($name:ident, $recl:ty) => {
+        slot_reuse_after_drop!($name, $recl, ThreadPool<u64>, SystemAllocator<u64>);
+    };
+    ($name:ident, $recl:ty, $pool:ty, $alloc:ty) => {
         #[test]
         fn $name() {
-            let manager: Arc<RecordManager<u64, $recl, ThreadPool<u64>, SystemAllocator<u64>>> =
+            let manager: Arc<RecordManager<u64, $recl, $pool, $alloc>> =
                 Arc::new(RecordManager::new(2));
             for _ in 0..3 {
                 let t0 = manager.register(0).expect("slot 0 must be registerable");
@@ -54,6 +57,45 @@ slot_reuse_after_drop!(slot_reuse_hazard_pointers, HazardPointers<u64>);
 slot_reuse_after_drop!(slot_reuse_classic_ebr, ClassicEbr<u64>);
 slot_reuse_after_drop!(slot_reuse_threadscan, ThreadScanLite<u64>);
 slot_reuse_after_drop!(slot_reuse_ibr, Ibr<u64>);
+slot_reuse_after_drop!(slot_reuse_vbr, Vbr<u64>, PagePool<u64>, PageAllocator<u64>);
+
+/// The thread-exit contract of every scheme that reclaims: a handle dropped in the middle
+/// of an operation hands the records still in its limbo to the orphan list (so
+/// `drain_orphans` returns every one the sink did not take) and zeroes its share of the
+/// `pending` gauge.
+macro_rules! exit_orphans_limbo {
+    ($name:ident, $recl:ty) => {
+        #[test]
+        fn $name() {
+            let r: Arc<$recl> = Arc::new(<$recl as Reclaimer<u64>>::new(1));
+            let mut sink = CountingSink::default();
+            let mut t = <$recl as Reclaimer<u64>>::register(&r, 0).expect("slot 0 is free");
+            let _ = t.leave_qstate(&mut sink);
+            for i in 0..5u64 {
+                let record = Headed::boxed(i);
+                t.record_allocated(record);
+                // SAFETY: a fresh record, retired once, from inside the operation.
+                unsafe { t.retire(record, &mut sink) };
+            }
+            drop(t);
+            let orphans = <$recl as Reclaimer<u64>>::drain_orphans(&r);
+            assert_eq!(orphans.len() + sink.accepted, 5, "every retired record is accounted for");
+            assert_eq!(r.stats().pending, 0, "the exited thread's limbo gauge reads zero");
+            for record in orphans {
+                // SAFETY: allocated by `Headed::boxed` above and drained exactly once.
+                unsafe { Headed::drop_boxed(record) };
+            }
+        }
+    };
+}
+
+exit_orphans_limbo!(exit_orphans_debra, Debra<u64>);
+exit_orphans_limbo!(exit_orphans_debra_plus, DebraPlus<u64>);
+exit_orphans_limbo!(exit_orphans_hazard_pointers, HazardPointers<u64>);
+exit_orphans_limbo!(exit_orphans_classic_ebr, ClassicEbr<u64>);
+exit_orphans_limbo!(exit_orphans_threadscan, ThreadScanLite<u64>);
+exit_orphans_limbo!(exit_orphans_ibr, Ibr<u64>);
+exit_orphans_limbo!(exit_orphans_vbr, Vbr<u64>);
 
 type DebraDomain = Domain<u64, Debra<u64>, ThreadPool<u64>, SystemAllocator<u64>>;
 

@@ -23,7 +23,10 @@
 //!   protection/checkpoint functions returning a result that must be consulted are too.
 //!
 //! Documented exceptions live in `tools/smr-lint/allowlist.txt`; see that file for the
-//! format.  An entry that waives no finding is reported as a stale waiver.  Usage:
+//! format.  An entry that waives no finding is reported as a stale waiver, and a
+//! `hot-path-blocking` entry that names no field or item (no content substring, one that
+//! matches a `use` line, or one spelling only the primitive, such as `std::sync::Mutex`)
+//! as a file-wide waiver.  Usage:
 //!
 //! ```text
 //! cargo run -p smr-lint              # report findings, exit 0
@@ -118,6 +121,29 @@ fn waives(a: &Allow, f: &Finding) -> bool {
 
 fn suppressed(f: &Finding, allows: &[Allow]) -> bool {
     allows.iter().any(|a| waives(a, f))
+}
+
+/// The words a `hot-path-blocking` finding's primitive is spelled with.  Content made of
+/// these alone (`Mutex`, `std::sync`, `std::sync::Mutex::new`) names no field or item.
+const PRIMITIVE_WORDS: &[&str] =
+    &["std", "sync", "thread", "sleep", "Mutex", "RwLock", "Condvar", "Barrier", "new"];
+
+/// `hot-path-blocking` entries that would waive every blocking primitive in a file: no
+/// content substring, one naming the `use` import, or one naming only the primitive
+/// rather than the field or item it lives in.  Such an entry also waives any lock added
+/// to the file later.
+fn file_wide_entries(allows: &[Allow]) -> Vec<&Allow> {
+    let names_an_item = |c: &str| {
+        !c.starts_with("use ")
+            && c.split(|ch: char| !(ch.is_alphanumeric() || ch == '_'))
+                .any(|w| !w.is_empty() && !PRIMITIVE_WORDS.contains(&w))
+    };
+    allows
+        .iter()
+        .filter(|a| {
+            a.rule == "hot-path-blocking" && !a.content_sub.as_deref().is_some_and(names_an_item)
+        })
+        .collect()
 }
 
 /// Allowlist entries that waive none of `findings`.  A stale entry — one whose function
@@ -668,6 +694,7 @@ fn main() -> ExitCode {
 
     let allow_file = rel(&root, &allow_path);
     let dead = dead_entries(&allows, &findings);
+    let file_wide = file_wide_entries(&allows);
     let (kept, waived): (Vec<_>, Vec<_>) =
         findings.into_iter().partition(|f| !suppressed(f, &allows));
     if !waived.is_empty() {
@@ -683,11 +710,24 @@ fn main() -> ExitCode {
             a.line, a.rule, a.path_sub
         );
     }
-    if kept.is_empty() && dead.is_empty() {
+    for a in &file_wide {
+        let content = a.content_sub.as_deref().unwrap_or_default();
+        println!(
+            "file-wide-waiver: {allow_file}:{}: `{} {} {content}` waives the whole file; \
+             name the field or item that holds the primitive",
+            a.line, a.rule, a.path_sub
+        );
+    }
+    if kept.is_empty() && dead.is_empty() && file_wide.is_empty() {
         println!("smr-lint: clean ({} rule families)", 6);
         ExitCode::SUCCESS
     } else {
-        println!("smr-lint: {} finding(s), {} stale waiver(s)", kept.len(), dead.len());
+        println!(
+            "smr-lint: {} finding(s), {} stale waiver(s), {} file-wide waiver(s)",
+            kept.len(),
+            dead.len(),
+            file_wide.len()
+        );
         if gate {
             ExitCode::FAILURE
         } else {
@@ -831,6 +871,33 @@ mod tests {
             message: String::new(),
         };
         assert!(!suppressed(&other, &allows));
+    }
+
+    #[test]
+    fn a_blocking_waiver_must_name_a_field_not_a_file() {
+        let allows = parse_allowlist(
+            "hot-path-blocking crates/core/src/threads.rs orphans: std::sync::Mutex # good\n\
+             hot-path-blocking crates/vbr/src/lib.rs use std::sync # the import: bad\n\
+             hot-path-blocking crates/alloc/src/bump.rs # no content: bad\n\
+             unprotected-deref crates/queue/src/lib.rs # other rules may stay file-wide\n\
+             hot-path-blocking crates/pagepool/src/store.rs std::sync::Mutex # the primitive alone: bad\n\
+             hot-path-blocking crates/pagepool/src/store.rs Mutex< # bad\n\
+             hot-path-blocking crates/pagepool/src/store.rs Registry = std::sync::Mutex # good\n",
+        );
+        let lines: Vec<usize> = file_wide_entries(&allows).iter().map(|a| a.line).collect();
+        assert_eq!(lines, [2, 3, 5, 6]);
+
+        // The good entry waives the field and its constructor, and nothing else there.
+        let at = |line_text: &str| Finding {
+            rule: "hot-path-blocking",
+            path: "crates/core/src/threads.rs".into(),
+            line: 1,
+            line_text: line_text.into(),
+            message: String::new(),
+        };
+        assert!(suppressed(&at("    orphans: std::sync::Mutex<Vec<NonNull<T>>>,"), &allows[..1]));
+        assert!(suppressed(&at("    orphans: std::sync::Mutex::new(Vec::new()),"), &allows[..1]));
+        assert!(!suppressed(&at("    later: std::sync::Mutex<()>,"), &allows[..1]));
     }
 
     #[test]
