@@ -5,11 +5,11 @@ use std::ptr::NonNull;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use blockbag::BlockBag;
 use crossbeam_utils::CachePadded;
 use debra::{
-    CodeModifications, ReadProtection, ReclaimSink, Reclaimer, ReclaimerThread, RegistrationError,
-    SchemeProperties, Termination, ThreadStatsSlot, ThreadTable, TimingAssumptions,
+    CodeModifications, LimboBags, ReadProtection, ReclaimSink, Reclaimer, ReclaimerThread,
+    RegistrationError, SchemeProperties, Termination, ThreadStatsSlot, ThreadTable,
+    TimingAssumptions,
 };
 
 /// Announcement value of a thread that has never executed an operation.
@@ -76,16 +76,10 @@ impl<T: Send + 'static> Reclaimer<T> for ClassicEbr<T> {
     fn register(this: &Arc<Self>, tid: usize) -> Result<Self::Thread, RegistrationError> {
         this.threads.claim(tid)?;
         this.announce[tid].store(IDLE, Ordering::SeqCst);
-        let cap = this.config.block_capacity;
         Ok(ClassicEbrThread {
             global: Arc::clone(this),
             tid,
-            bags: [
-                BlockBag::with_block_capacity(cap),
-                BlockBag::with_block_capacity(cap),
-                BlockBag::with_block_capacity(cap),
-            ],
-            current: 0,
+            limbo: LimboBags::new(this.config.block_capacity),
             last_seen_epoch: None,
             quiescent: true,
         })
@@ -129,31 +123,9 @@ impl<T> fmt::Debug for ClassicEbr<T> {
 pub struct ClassicEbrThread<T: Send + 'static> {
     global: Arc<ClassicEbr<T>>,
     tid: usize,
-    bags: [BlockBag<T>; 3],
-    current: usize,
+    limbo: LimboBags<T>,
     last_seen_epoch: Option<u64>,
     quiescent: bool,
-}
-
-impl<T: Send + 'static> ClassicEbrThread<T> {
-    fn rotate_and_reclaim<S: ReclaimSink<T>>(&mut self, sink: &mut S) {
-        self.current = (self.current + 1) % 3;
-        let mut reclaimed = 0u64;
-        for block in self.bags[self.current].take_full_blocks() {
-            reclaimed += block.len() as u64;
-            sink.accept_block(block);
-        }
-        if reclaimed == 0 {
-            // Nothing left the bags: the counters and the limbo gauge already hold.
-            return;
-        }
-        let stats = self.global.threads.stats(self.tid);
-        ThreadStatsSlot::bump(&stats.reclaimed, reclaimed);
-        stats.publish_limbo(
-            self.bags.iter().map(BlockBag::len).sum::<usize>() as u64,
-            std::mem::size_of::<T>() as u64,
-        );
-    }
 }
 
 impl<T: Send + 'static> ReclaimerThread<T> for ClassicEbrThread<T> {
@@ -161,24 +133,24 @@ impl<T: Send + 'static> ReclaimerThread<T> for ClassicEbrThread<T> {
     // unvalidated traversal (and therefore helping) is sound.
     const READ_PROTECTION: ReadProtection = ReadProtection::Pin;
 
-    fn tid(&self) -> usize {
-        self.tid
-    }
-
     fn leave_qstate<S: ReclaimSink<T>>(&mut self, sink: &mut S) -> bool {
         self.quiescent = false;
         let epoch = self.global.epoch.load(Ordering::SeqCst);
         self.global.announce[self.tid].store(epoch, Ordering::SeqCst);
 
-        let mut rotated = false;
-        if self.last_seen_epoch != Some(epoch) {
-            self.last_seen_epoch = Some(epoch);
-            self.rotate_and_reclaim(sink);
-            rotated = true;
-        }
-
         let global: &ClassicEbr<T> = &self.global;
         let stats = global.threads.stats(self.tid);
+        let rotated = self.last_seen_epoch != Some(epoch);
+        if rotated {
+            self.last_seen_epoch = Some(epoch);
+            let reclaimed = self.limbo.rotate_and_reclaim(sink);
+            // A rotation that freed nothing leaves the counters and the gauge as they are.
+            if reclaimed > 0 {
+                ThreadStatsSlot::bump(&stats.reclaimed, reclaimed);
+                global.threads.publish_limbo(self.tid, self.limbo.len() as u64);
+            }
+        }
+
         // Classic EBR: scan *every* announcement on every operation.
         let all_announced = global.announce.iter().all(|a| {
             let v = a.load(Ordering::SeqCst);
@@ -212,13 +184,10 @@ impl<T: Send + 'static> ReclaimerThread<T> for ClassicEbrThread<T> {
     }
 
     unsafe fn retire<S: ReclaimSink<T>>(&mut self, record: NonNull<T>, _sink: &mut S) {
-        self.bags[self.current].push(record);
-        let stats = self.global.threads.stats(self.tid);
-        ThreadStatsSlot::bump(&stats.retired, 1);
-        stats.publish_limbo(
-            self.bags.iter().map(BlockBag::len).sum::<usize>() as u64,
-            std::mem::size_of::<T>() as u64,
-        );
+        self.limbo.push(record);
+        let threads = &self.global.threads;
+        ThreadStatsSlot::bump(&threads.stats(self.tid).retired, 1);
+        threads.publish_limbo(self.tid, self.limbo.len() as u64);
     }
 }
 
@@ -229,7 +198,7 @@ impl<T: Send + 'static> Drop for ClassicEbrThread<T> {
         let threads = &self.global.threads;
         // SAFETY: the slot and the records are this handle's; its announcement is withdrawn.
         unsafe {
-            threads.orphan(self.tid, self.bags.iter_mut().flat_map(BlockBag::drain));
+            threads.orphan(self.tid, self.limbo.drain());
             threads.release(self.tid);
         }
     }
@@ -239,7 +208,7 @@ impl<T: Send + 'static> fmt::Debug for ClassicEbrThread<T> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("ClassicEbrThread")
             .field("tid", &self.tid)
-            .field("pending", &self.bags.iter().map(BlockBag::len).sum::<usize>())
+            .field("pending", &self.limbo.len())
             .finish()
     }
 }

@@ -29,7 +29,6 @@
 mod ebr;
 mod hazard;
 mod none;
-mod slots;
 mod threadscan;
 
 pub use ebr::{ClassicEbr, ClassicEbrThread, EbrConfig};

@@ -7,7 +7,7 @@ use std::sync::Arc;
 
 use debra::{
     CodeModifications, ReadProtection, ReclaimSink, Reclaimer, ReclaimerThread, RegistrationError,
-    SchemeProperties, Termination, ThreadTable, TimingAssumptions,
+    SchemeProperties, Termination, ThreadStatsSlot, ThreadTable, TimingAssumptions,
 };
 
 /// The paper's "None" baseline: retired records are simply abandoned.
@@ -74,13 +74,9 @@ impl<T: Send + 'static> ReclaimerThread<T> for NoReclaimThread<T> {
     // Nothing is ever freed, so any traversal is trivially sound.
     const READ_PROTECTION: ReadProtection = ReadProtection::Pin;
 
-    fn tid(&self) -> usize {
-        self.tid
-    }
-
     fn leave_qstate<S: ReclaimSink<T>>(&mut self, _sink: &mut S) -> bool {
         self.quiescent = false;
-        self.global.threads.stats(self.tid).operations.fetch_add(1, Ordering::Relaxed);
+        ThreadStatsSlot::bump(&self.global.threads.stats(self.tid).operations, 1);
         false
     }
 
@@ -96,10 +92,10 @@ impl<T: Send + 'static> ReclaimerThread<T> for NoReclaimThread<T> {
         // Abandon the record: the whole point of this baseline.  The limbo gauge only
         // ever grows — the unbounded-garbage contrast every bounded scheme is measured
         // against.
-        let stats = self.global.threads.stats(self.tid);
-        stats.retired.fetch_add(1, Ordering::Relaxed);
-        let pending = stats.pending.load(Ordering::Relaxed) + 1;
-        stats.publish_limbo(pending, std::mem::size_of::<T>() as u64);
+        let threads = &self.global.threads;
+        let stats = threads.stats(self.tid);
+        ThreadStatsSlot::bump(&stats.retired, 1);
+        threads.publish_limbo(self.tid, stats.pending.load(Ordering::Relaxed) + 1);
     }
 }
 

@@ -7,13 +7,12 @@ use std::sync::Arc;
 
 use blockbag::BlockBag;
 use debra::{
-    CodeModifications, ReclaimSink, Reclaimer, ReclaimerThread, RegistrationError,
-    SchemeProperties, Termination, ThreadTable, TimingAssumptions,
+    hand_over, AnnounceSlots, CodeModifications, ReclaimSink, Reclaimer, ReclaimerThread,
+    RegistrationError, SchemeProperties, Termination, ThreadStatsSlot, ThreadTable,
+    TimingAssumptions,
 };
 use neutralize::{NeutralizeSlot, SignalDriver, ThreadRegistration};
 use parking_lot::Mutex as ReclaimLock;
-
-use crate::slots::AnnounceSlots;
 
 /// Configuration for [`ThreadScanLite`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -161,28 +160,20 @@ impl<T: Send + 'static> ThreadScanLiteThread<T> {
         let _guard = global.reclaim_lock.lock();
         global.signal_and_await(self.tid);
         let referenced = global.refs.collect();
-        let mut reclaimed = 0u64;
-        for block in self
+        let blocks = self
             .retired
-            .partition_and_take_full_blocks(|p| referenced.contains(&(p.as_ptr() as usize)))
-        {
-            reclaimed += block.len() as u64;
-            sink.accept_block(block);
-        }
-        let stats = global.threads.stats(self.tid);
-        stats.reclaimed.fetch_add(reclaimed, Ordering::Relaxed);
-        stats.publish_limbo(self.retired.len() as u64, std::mem::size_of::<T>() as u64);
+            .partition_and_take_full_blocks(|p| referenced.contains(&(p.as_ptr() as usize)));
+        let reclaimed = hand_over(blocks, sink);
+        let threads = &global.threads;
+        ThreadStatsSlot::bump(&threads.stats(self.tid).reclaimed, reclaimed);
+        threads.publish_limbo(self.tid, self.retired.len() as u64);
     }
 }
 
 impl<T: Send + 'static> ReclaimerThread<T> for ThreadScanLiteThread<T> {
-    fn tid(&self) -> usize {
-        self.tid
-    }
-
     fn leave_qstate<S: ReclaimSink<T>>(&mut self, _sink: &mut S) -> bool {
         self.quiescent = false;
-        self.global.threads.stats(self.tid).operations.fetch_add(1, Ordering::Relaxed);
+        ThreadStatsSlot::bump(&self.global.threads.stats(self.tid).operations, 1);
         false
     }
 
@@ -197,9 +188,9 @@ impl<T: Send + 'static> ReclaimerThread<T> for ThreadScanLiteThread<T> {
 
     unsafe fn retire<S: ReclaimSink<T>>(&mut self, record: NonNull<T>, sink: &mut S) {
         self.retired.push(record);
-        let stats = self.global.threads.stats(self.tid);
-        stats.retired.fetch_add(1, Ordering::Relaxed);
-        stats.publish_limbo(self.retired.len() as u64, std::mem::size_of::<T>() as u64);
+        let threads = &self.global.threads;
+        ThreadStatsSlot::bump(&threads.stats(self.tid).retired, 1);
+        threads.publish_limbo(self.tid, self.retired.len() as u64);
         if self.retired.len() >= self.global.config.scan_threshold {
             self.scan(sink);
         }
@@ -232,10 +223,6 @@ impl<T: Send + 'static> ReclaimerThread<T> for ThreadScanLiteThread<T> {
 
     fn is_protected(&self, record: NonNull<T>) -> bool {
         self.global.refs.holds(self.tid, record.as_ptr() as *mut u8)
-    }
-
-    fn protection_slots(&self) -> usize {
-        self.global.config.slots_per_thread
     }
 }
 

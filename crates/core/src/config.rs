@@ -40,9 +40,9 @@ pub struct DebraPlusConfig {
     /// full blocks reclaimed) only when it holds at least this many blocks, giving expected
     /// amortized O(1) work per reclaimed record.
     pub scan_threshold_blocks: usize,
-    /// Number of restricted hazard pointer (`RProtect`) slots per thread.  Must be at least
-    /// the number of records accessed by the data structure's `help` routine plus one for
-    /// the descriptor.
+    /// Number of restricted hazard pointer (`RProtect`) slots per thread, at most 16 (one
+    /// cache line).  Must be at least the number of records accessed by the data
+    /// structure's `help` routine plus one for the descriptor.
     pub rprotect_slots: usize,
 }
 

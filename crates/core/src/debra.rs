@@ -119,19 +119,22 @@ impl<T> fmt::Debug for Debra<T> {
     }
 }
 
-/// The three limbo bags of one thread (the paper's `bags[0..2]` and `index`).
+/// The three limbo bags of one thread (the paper's `bags[0..2]` and `index`), shared by
+/// every epoch scheme here: DEBRA, DEBRA+ and classic EBR.
 ///
-/// Kept apart from the rest of [`DebraThread`] so that the rotation and suspicion hooks of
-/// [`leave_qstate_impl`](DebraThread::leave_qstate_impl) can borrow the bags mutably while
-/// the shared state stays borrowed — no `Arc` clone on the per-operation path.
-pub(crate) struct LimboBags<T> {
+/// Kept apart from the rest of [`DebraThread`] so that DEBRA+'s rotation and suspicion
+/// hooks can borrow the bags mutably while the shared state stays borrowed — no `Arc`
+/// clone on the per-operation path.
+#[derive(Debug)]
+pub struct LimboBags<T> {
     bags: [BlockBag<T>; 3],
     /// Index (into `bags`) of the limbo bag for the current epoch.
     current: usize,
 }
 
 impl<T> LimboBags<T> {
-    fn new(block_capacity: usize) -> Self {
+    /// Three empty bags of `block_capacity`-record blocks.
+    pub fn new(block_capacity: usize) -> Self {
         LimboBags {
             bags: std::array::from_fn(|_| BlockBag::with_block_capacity(block_capacity)),
             current: 0,
@@ -139,18 +142,23 @@ impl<T> LimboBags<T> {
     }
 
     /// Adds a retired record to the limbo bag of the current epoch.
-    fn push(&mut self, record: NonNull<T>) {
+    pub fn push(&mut self, record: NonNull<T>) {
         self.bags[self.current].push(record);
     }
 
-    fn len(&self) -> usize {
+    /// Number of records in the three bags.
+    pub fn len(&self) -> usize {
         self.bags.iter().map(BlockBag::len).sum()
     }
 
-    /// Publishes the limbo population; called wherever it changes (retire, a rotation that
-    /// reclaimed), never on a plain pin.
-    fn publish(&self, stats: &ThreadStatsSlot) {
-        stats.publish_limbo(self.len() as u64, std::mem::size_of::<T>() as u64);
+    /// `true` if no record is in limbo.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Takes every record out of the bags (a thread's limbo when it exits).
+    pub fn drain(&mut self) -> impl Iterator<Item = NonNull<T>> + '_ {
+        self.bags.iter_mut().flat_map(BlockBag::drain)
     }
 
     /// Number of blocks in the limbo bag of the current epoch (DEBRA+'s neutralization
@@ -174,7 +182,7 @@ impl<T> LimboBags<T> {
 
     /// Rotates the limbo bags and reclaims the records retired two epochs ago
     /// (the paper's `rotateAndReclaim`).  Returns the number of records handed to `sink`.
-    pub(crate) fn rotate_and_reclaim<S: ReclaimSink<T>>(&mut self, sink: &mut S) -> u64 {
+    pub fn rotate_and_reclaim<S: ReclaimSink<T>>(&mut self, sink: &mut S) -> u64 {
         hand_over(self.rotate().take_full_blocks(), sink)
     }
 
@@ -193,7 +201,8 @@ impl<T> LimboBags<T> {
 }
 
 /// Moves whole blocks of reclaimable records to the sink; returns how many records moved.
-fn hand_over<T, S: ReclaimSink<T>>(
+/// Every scheme that keeps its limbo in blocks hands them over through this.
+pub fn hand_over<T, S: ReclaimSink<T>>(
     blocks: impl IntoIterator<Item = Box<Block<T>>>,
     sink: &mut S,
 ) -> u64 {
@@ -230,6 +239,11 @@ impl<T: Send + 'static> DebraThread<T> {
     /// The shared DEBRA instance this handle belongs to.
     pub fn global(&self) -> &Arc<Debra<T>> {
         &self.global
+    }
+
+    /// The thread slot this handle was registered with.
+    pub(crate) fn tid(&self) -> usize {
+        self.tid
     }
 
     /// This thread's own announcement slot.
@@ -284,7 +298,7 @@ impl<T: Send + 'static> DebraThread<T> {
             let reclaimed = rotate(limbo, sink);
             if reclaimed > 0 {
                 ThreadStatsSlot::bump(&stats.reclaimed, reclaimed);
-                limbo.publish(stats);
+                global.threads.publish_limbo(tid, limbo.len() as u64);
             }
             result = true;
         }
@@ -345,9 +359,9 @@ impl<T: Send + 'static> DebraThread<T> {
         // thread whose decision CAS already succeeded legitimately retires records while its
         // announcement reads quiescent (the completion phase of a decided operation).
         self.limbo.push(record);
-        let stats = self.global.threads.stats(self.tid);
-        ThreadStatsSlot::bump(&stats.retired, 1);
-        self.limbo.publish(stats);
+        let threads = &self.global.threads;
+        ThreadStatsSlot::bump(&threads.stats(self.tid).retired, 1);
+        threads.publish_limbo(self.tid, self.limbo.len() as u64);
     }
 
     pub(crate) fn enter_qstate_impl(&mut self) {
@@ -363,10 +377,6 @@ impl<T: Send + 'static> ReclaimerThread<T> for DebraThread<T> {
     // Epoch-style: records retired after an operation begins outlive the operation, so
     // unvalidated traversal (and therefore helping) is sound.
     const READ_PROTECTION: ReadProtection = ReadProtection::Pin;
-
-    fn tid(&self) -> usize {
-        self.tid
-    }
 
     fn leave_qstate<S: ReclaimSink<T>>(&mut self, sink: &mut S) -> bool {
         self.leave_qstate_impl(sink, LimboBags::rotate_and_reclaim, |_, _| false)
@@ -397,7 +407,7 @@ impl<T: Send + 'static> Drop for DebraThread<T> {
         let threads = &self.global.threads;
         // SAFETY: the slot and the records are this handle's; its announcement is withdrawn.
         unsafe {
-            threads.orphan(self.tid, self.limbo.bags.iter_mut().flat_map(BlockBag::drain));
+            threads.orphan(self.tid, self.limbo.drain());
             threads.release(self.tid);
         }
     }

@@ -3,14 +3,15 @@
 use std::collections::HashSet;
 use std::fmt;
 use std::ptr::NonNull;
+use std::sync::atomic::{AtomicPtr, Ordering};
 use std::sync::Arc;
 
 use neutralize::{Neutralized, SignalDriver, ThreadRegistration};
 
+use crate::announce::AnnounceSlots;
 use crate::config::DebraPlusConfig;
 use crate::debra::{Debra, DebraThread};
 use crate::properties::SchemeProperties;
-use crate::rprotect::RProtectArray;
 use crate::stats::{ReclaimerStats, ThreadStatsSlot};
 use crate::threads::ThreadTable;
 use crate::traits::{ReadProtection, ReclaimSink, Reclaimer, ReclaimerThread, RegistrationError};
@@ -48,7 +49,10 @@ use crate::traits::{ReadProtection, ReclaimSink, Reclaimer, ReclaimerThread, Reg
 /// `DESIGN.md` for the full discussion of this substitution.
 pub struct DebraPlus<T> {
     base: Arc<Debra<T>>,
-    rprotected: Box<[RProtectArray<T>]>,
+    /// Every thread's restricted hazard pointers (the paper's `RProtected[pid]`): the
+    /// owner fills its line from the front and empties it at `RUnprotectAll`; a rotation
+    /// scans every line before freeing.
+    rprotected: AnnounceSlots,
     driver: SignalDriver,
     config: DebraPlusConfig,
 }
@@ -58,13 +62,14 @@ impl<T: Send + 'static> DebraPlus<T> {
     ///
     /// Use [`SignalDriver::best_available`] for real POSIX-signal neutralization, or
     /// [`SignalDriver::simulated`] for deterministic tests / non-Unix platforms.
+    ///
+    /// # Panics
+    ///
+    /// Unless `1 <= config.rprotect_slots <= 16`.
     pub fn with_config(max_threads: usize, config: DebraPlusConfig, driver: SignalDriver) -> Self {
-        let base = Arc::new(Debra::with_config(max_threads, config.debra));
         DebraPlus {
-            base,
-            rprotected: (0..max_threads)
-                .map(|_| RProtectArray::new(config.rprotect_slots))
-                .collect(),
+            base: Arc::new(Debra::with_config(max_threads, config.debra)),
+            rprotected: AnnounceSlots::new(max_threads, config.rprotect_slots),
             driver,
             config,
         }
@@ -83,22 +88,6 @@ impl<T: Send + 'static> DebraPlus<T> {
     /// The configuration this instance was created with.
     pub fn config(&self) -> &DebraPlusConfig {
         &self.config
-    }
-
-    /// The restricted hazard pointer array of thread `tid`.
-    pub fn rprotected(&self, tid: usize) -> &RProtectArray<T> {
-        &self.rprotected[tid]
-    }
-
-    /// Collects the address of every currently R-protected record (by any thread) into
-    /// `set`, a scratch set the calling thread reuses so that a rotation does not allocate.
-    /// Called only when a limbo bag has grown past the scan threshold, so the expected
-    /// amortized cost per reclaimed record is O(1).
-    fn gather_rprotected(&self, set: &mut HashSet<usize>) {
-        set.clear();
-        for array in self.rprotected.iter() {
-            set.extend(array.iter().map(|p| p.as_ptr() as usize));
-        }
     }
 
     /// Total number of neutralizations observed by all threads' signal handlers.
@@ -123,7 +112,8 @@ impl<T: Send + 'static> Reclaimer<T> for DebraPlus<T> {
         Ok(DebraPlusThread {
             inner,
             plus: Arc::clone(this),
-            protected: HashSet::with_capacity(this.max_threads() * this.config.rprotect_slots),
+            r_len: 0,
+            protected: HashSet::with_capacity(this.rprotected.capacity()),
             _registration: registration,
         })
     }
@@ -167,6 +157,8 @@ impl<T> fmt::Debug for DebraPlus<T> {
 pub struct DebraPlusThread<T: Send + 'static> {
     inner: DebraThread<T>,
     plus: Arc<DebraPlus<T>>,
+    /// How many of this thread's `RProtect` slots are filled (it is their only writer).
+    r_len: usize,
     /// Scratch for the R-protected set gathered at a rotation, sized at registration for
     /// every thread's slots so that gathering never allocates.
     protected: HashSet<usize>,
@@ -183,16 +175,22 @@ impl<T: Send + 'static> DebraPlusThread<T> {
     pub fn limbo_len(&self) -> usize {
         self.inner.limbo_len()
     }
+
+    /// `true` if this thread has been neutralized and has not yet begun recovery.
+    fn is_neutralized(&self) -> bool {
+        self.inner.slot().is_neutralized()
+    }
+
+    /// This thread's filled `RProtect` slots.
+    fn r_protected(&self) -> &[AtomicPtr<u8>] {
+        &self.plus.rprotected.of(self.inner.tid())[..self.r_len]
+    }
 }
 
 impl<T: Send + 'static> ReclaimerThread<T> for DebraPlusThread<T> {
     const SUPPORTS_CRASH_RECOVERY: bool = true;
     // Epoch-style (see `DebraThread`): unvalidated traversal and helping are sound.
     const READ_PROTECTION: ReadProtection = ReadProtection::Pin;
-
-    fn tid(&self) -> usize {
-        self.inner.tid()
-    }
 
     fn leave_qstate<S: ReclaimSink<T>>(&mut self, sink: &mut S) -> bool {
         let DebraPlusThread { inner, plus, protected, .. } = self;
@@ -218,8 +216,9 @@ impl<T: Send + 'static> ReclaimerThread<T> for DebraPlusThread<T> {
                 // With no such pointer announced (always, for structures that never
                 // `RProtect`) the filter keeps nothing, and partitioning the bag record by
                 // record would hand over exactly the full blocks DEBRA's O(1)-per-block
-                // rotation does — so take that path.
-                plus.gather_rprotected(protected);
+                // rotation does — so take that path.  Gathering runs only once a bag has
+                // grown past the scan threshold: expected amortized O(1) per record.
+                plus.rprotected.collect_into(protected);
                 if protected.is_empty() {
                     limbo.rotate_and_reclaim(sink)
                 } else {
@@ -256,16 +255,35 @@ impl<T: Send + 'static> ReclaimerThread<T> for DebraPlusThread<T> {
         self.inner.retire_impl(record);
     }
 
+    /// Idempotent: a thread neutralized while announcing re-runs the announcement in its
+    /// next attempt.
+    ///
+    /// # Panics
+    ///
+    /// If all `rprotect_slots` slots are filled with other records.
     fn r_protect(&mut self, record: NonNull<T>) {
-        self.plus.rprotected[self.inner.tid()].protect(record);
+        if self.is_r_protected(record) {
+            return;
+        }
+        let slots = self.plus.rprotected.of(self.inner.tid());
+        assert!(
+            self.r_len < slots.len(),
+            "RProtect capacity exceeded ({} slots); increase DebraPlusConfig::rprotect_slots",
+            slots.len()
+        );
+        slots[self.r_len].store(record.as_ptr().cast(), Ordering::SeqCst);
+        self.r_len += 1;
     }
 
     fn r_unprotect_all(&mut self) {
-        self.plus.rprotected[self.inner.tid()].unprotect_all();
+        for slot in self.r_protected() {
+            slot.store(std::ptr::null_mut(), Ordering::SeqCst);
+        }
+        self.r_len = 0;
     }
 
     fn is_r_protected(&self, record: NonNull<T>) -> bool {
-        self.plus.rprotected[self.inner.tid()].contains(record)
+        self.r_protected().iter().any(|s| s.load(Ordering::Relaxed) == record.as_ptr().cast())
     }
 
     fn check(&self) -> Result<(), Neutralized> {
@@ -276,13 +294,10 @@ impl<T: Send + 'static> ReclaimerThread<T> for DebraPlusThread<T> {
         }
     }
 
-    fn is_neutralized(&self) -> bool {
-        self.inner.slot().is_neutralized()
-    }
-
     fn begin_recovery(&mut self) {
-        ThreadStatsSlot::bump(&self.plus.base.threads.stats(self.inner.tid()).neutralized, 1);
-        self.inner.slot().clear_neutralized();
+        if self.is_neutralized() {
+            self.inner.slot().clear_neutralized();
+        }
         // The thread stays quiescent (the handler already set the quiescent bit); recovery
         // code may access only R-protected records until the next `leave_qstate`.
     }
@@ -290,7 +305,7 @@ impl<T: Send + 'static> ReclaimerThread<T> for DebraPlusThread<T> {
 
 impl<T: Send + 'static> Drop for DebraPlusThread<T> {
     fn drop(&mut self) {
-        self.plus.rprotected[self.inner.tid()].unprotect_all();
+        self.r_unprotect_all();
         // `inner`'s Drop withdraws the announcement, orphans the remaining limbo records
         // and releases the slot; `_registration`'s Drop detaches the signal target.
     }
@@ -537,6 +552,61 @@ mod tests {
         drain_leaked(&fast);
         drain_leaked(&filtered);
         unsafe { drop(Box::from_raw(bystander.as_ptr())) };
+    }
+
+    fn addr(v: usize) -> NonNull<u64> {
+        NonNull::new((v * 8 + 8) as *mut u64).unwrap()
+    }
+
+    #[test]
+    fn r_protect_is_idempotent_and_the_rotation_sees_every_announcement() {
+        let plus: Arc<DebraPlus<u64>> =
+            Arc::new(DebraPlus::with_config(2, tiny_config(), SignalDriver::simulated()));
+        let mut a = DebraPlus::register(&plus, 0).unwrap();
+        let mut b = DebraPlus::register(&plus, 1).unwrap();
+        for _ in 0..3 {
+            a.r_protect(addr(1));
+        }
+        a.r_protect(addr(2));
+        b.r_protect(addr(3));
+        assert_eq!(a.r_len, 2, "re-announcing a record takes no second slot");
+        assert!(a.is_r_protected(addr(1)) && a.is_r_protected(addr(2)));
+        assert!(!a.is_r_protected(addr(3)) && b.is_r_protected(addr(3)));
+
+        // What a rotation gathers: every thread's announcements, into a scratch set that
+        // was sized at registration.
+        let cap = a.protected.capacity();
+        plus.rprotected.collect_into(&mut a.protected);
+        assert_eq!(a.protected, [1, 2, 3].map(|v| addr(v).as_ptr() as usize).into());
+        assert_eq!(a.protected.capacity(), cap, "gathering does not allocate");
+
+        a.r_unprotect_all();
+        assert!(!a.is_r_protected(addr(1)) && a.r_len == 0);
+        plus.rprotected.collect_into(&mut a.protected);
+        assert_eq!(a.protected, [addr(3).as_ptr() as usize].into());
+        drop(b);
+        plus.rprotected.collect_into(&mut a.protected);
+        assert!(a.protected.is_empty(), "an exiting thread withdraws its announcements");
+    }
+
+    #[test]
+    #[should_panic(expected = "RProtect capacity exceeded (2 slots)")]
+    fn r_protect_overflow_panics() {
+        let config = DebraPlusConfig { rprotect_slots: 2, ..tiny_config() };
+        let plus: Arc<DebraPlus<u64>> =
+            Arc::new(DebraPlus::with_config(1, config, SignalDriver::simulated()));
+        let mut a = DebraPlus::register(&plus, 0).unwrap();
+        a.r_protect(addr(1));
+        a.r_protect(addr(2));
+        a.r_protect(addr(2));
+        a.r_protect(addr(3));
+    }
+
+    #[test]
+    #[should_panic(expected = "between 1 and 16, got 17")]
+    fn more_rprotect_slots_than_one_line_holds_are_refused() {
+        let config = DebraPlusConfig { rprotect_slots: 17, ..tiny_config() };
+        let _ = DebraPlus::<u64>::with_config(1, config, SignalDriver::simulated());
     }
 
     #[cfg(unix)]

@@ -492,7 +492,7 @@ where
     /// scopes entirely under schemes where they would be pure bookkeeping.
     #[inline]
     pub fn supports_crash_recovery(&self) -> bool {
-        self.lease.lease().with_handle(|h| h.supports_crash_recovery())
+        <R::Thread as ReclaimerThread<T>>::SUPPORTS_CRASH_RECOVERY
     }
 }
 
@@ -676,11 +676,7 @@ where
     /// across the recovery gap until its completion phase finishes — the DEBRA+
     /// completion-phase protocol).  Unwinding drops the scope, and the drop releases.
     pub(crate) fn recover(&self) {
-        self.lease().with_handle(|h| {
-            if h.is_neutralized() {
-                h.begin_recovery();
-            }
-        });
+        self.lease().with_handle(|h| h.begin_recovery());
     }
 
     /// The safe helping-policy hook: `true` when the reclamation scheme permits
@@ -708,7 +704,7 @@ where
     /// the paper's `supportsCrashRecovery` predicate, constant after monomorphization.
     #[inline]
     pub fn supports_crash_recovery(&self) -> bool {
-        self.lease().with_handle(|h| h.supports_crash_recovery())
+        <R::Thread as ReclaimerThread<T>>::SUPPORTS_CRASH_RECOVERY
     }
 
     /// The Record Manager thread slot backing this guard (diagnostics).
@@ -1224,14 +1220,17 @@ where
     ///
     /// # Panics
     ///
-    /// Panics in debug builds when `record` is not currently protected by this thread.
+    /// Panics in debug builds when the scheme announces records one by one (HP,
+    /// ThreadScan) and this thread does not announce `record` (see
+    /// [`ReclaimerThread::is_protected`]).  Under the other schemes there is nothing to
+    /// check.
     pub fn duplicate(&mut self, from: usize, to: usize, record: Shared<'_, T>) {
         debug_assert_ne!(from, to, "duplicate requires two distinct roles");
         let Some(ptr) = NonNull::new(record.as_ptr()) else { return };
         let slot = self.slots[to];
         self.guard.lease().with_handle(|h| {
             debug_assert!(
-                h.protection_slots() == 0 || h.is_protected(ptr),
+                h.is_protected(ptr),
                 "duplicate requires the record to be protected by the source role"
             );
             let _ = h.protect(slot, ptr, || true);

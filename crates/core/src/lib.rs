@@ -63,6 +63,7 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
+pub mod announce;
 pub mod atomic;
 pub mod config;
 pub mod debra;
@@ -71,14 +72,14 @@ pub mod guard;
 pub mod header;
 pub mod properties;
 pub mod record_manager;
-pub mod rprotect;
 pub mod stats;
 pub mod threads;
 pub mod traits;
 
+pub use crate::announce::AnnounceSlots;
 pub use crate::atomic::{Atomic, Owned, Pinned, Shared};
 pub use crate::config::{DebraConfig, DebraPlusConfig};
-pub use crate::debra::{Debra, DebraThread};
+pub use crate::debra::{hand_over, Debra, DebraThread, LimboBags};
 pub use crate::debra_plus::{DebraPlus, DebraPlusThread};
 pub use crate::guard::{
     Domain, DomainHandle, Guard, Protected, Recovery, Restart, Shield, ShieldSet,
@@ -86,7 +87,6 @@ pub use crate::guard::{
 pub use crate::header::{header_of, Headed, RecordHeader};
 pub use crate::properties::{CodeModifications, SchemeProperties, Termination, TimingAssumptions};
 pub use crate::record_manager::{OpGuard, RecordManager, RecordManagerThread};
-pub use crate::rprotect::RProtectArray;
 pub use crate::stats::{PoolStats, ReclaimerStats, ThreadStatsSlot};
 pub use crate::threads::ThreadTable;
 pub use crate::traits::{

@@ -419,23 +419,10 @@ where
         self.reclaimer.unprotect(slot);
     }
 
-    /// Returns `true` if this thread currently protects `record`.
+    /// Returns `true` unless the chosen reclaimer announces records one by one and this
+    /// thread's announcements leave `record` out (see [`ReclaimerThread::is_protected`]).
     pub fn is_protected(&self, record: NonNull<T>) -> bool {
         self.reclaimer.is_protected(record)
-    }
-
-    /// Number of per-thread protection slots offered by the chosen reclaimer (0 for
-    /// epoch-based schemes).  Constant after monomorphization; data structures use it to
-    /// detect schemes whose `protect` is a real announcement rather than a no-op.
-    pub fn protection_slots(&self) -> usize {
-        self.reclaimer.protection_slots()
-    }
-
-    /// `true` if the chosen reclaimer supports crash recovery / neutralization (DEBRA+).
-    /// Constant after monomorphization, so recovery-only code is compiled out for other
-    /// schemes (the paper's `supportsCrashRecovery` predicate).
-    pub fn supports_crash_recovery(&self) -> bool {
-        <R::Thread as ReclaimerThread<T>>::SUPPORTS_CRASH_RECOVERY
     }
 
     /// Checkpoint: fails with [`Neutralized`] if this thread has been neutralized.
@@ -445,12 +432,7 @@ where
         self.reclaimer.check()
     }
 
-    /// Returns `true` if this thread has been neutralized and has not yet begun recovery.
-    pub fn is_neutralized(&self) -> bool {
-        self.reclaimer.is_neutralized()
-    }
-
-    /// Acknowledges a neutralization before running recovery code.
+    /// Acknowledges a pending neutralization, if any, before running recovery code.
     pub fn begin_recovery(&mut self) {
         self.reclaimer.begin_recovery();
     }

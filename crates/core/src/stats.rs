@@ -19,10 +19,9 @@ pub struct ThreadStatsSlot {
     pub signals_sent: AtomicU64,
     /// Number of data structure operations started (calls to `leave_qstate`).
     pub operations: AtomicU64,
-    /// Number of times this thread observed that it had been neutralized.
-    pub neutralized: AtomicU64,
     /// Bytes of record memory currently sitting in this thread's limbo bags
-    /// (`pending × size_of::<T>()`; see [`publish_limbo`](Self::publish_limbo)).
+    /// (`pending × size_of::<T>()`; see
+    /// [`ThreadTable::publish_limbo`](crate::ThreadTable::publish_limbo)).
     pub limbo_bytes: AtomicU64,
     /// High watermark of [`limbo_bytes`](Self::limbo_bytes) over the thread's lifetime —
     /// the assertable bounded-garbage metric.
@@ -48,7 +47,8 @@ pub struct ReclaimerStats {
     pub signals_sent: u64,
     /// Total data structure operations started.
     pub operations: u64,
-    /// Total times a thread observed it had been neutralized.
+    /// Total neutralization signals handled: signals whose handler found the target
+    /// inside an operation and made it quiescent (DEBRA+ only).
     pub neutralized: u64,
     /// Current bytes of record memory in limbo, summed over threads.
     pub limbo_bytes: u64,
@@ -79,27 +79,9 @@ impl ThreadStatsSlot {
         agg.epochs_advanced += self.epochs_advanced.load(Ordering::Relaxed);
         agg.signals_sent += self.signals_sent.load(Ordering::Relaxed);
         agg.operations += self.operations.load(Ordering::Relaxed);
-        agg.neutralized += self.neutralized.load(Ordering::Relaxed);
         agg.limbo_bytes += self.limbo_bytes.load(Ordering::Relaxed);
         agg.limbo_bytes_hwm += self.limbo_bytes_hwm.load(Ordering::Relaxed);
         agg.epoch_stalls += self.epoch_stalls.load(Ordering::Relaxed);
-    }
-
-    /// Publishes this thread's limbo backlog: `pending_records` records of
-    /// `bytes_per_record` each.  Reclaimers call this wherever the limbo population
-    /// changes (retire, reclaim, orphaning), passing the *recomputed* population — so
-    /// retire adds the record footprint and every reclaim subtracts it, without the
-    /// slot needing read-modify-write pairs that could drift.
-    ///
-    /// The watermark update is a plain load/store: the slot is written only by its
-    /// owning thread (the contract stated on [`ThreadStatsSlot`]).
-    pub fn publish_limbo(&self, pending_records: u64, bytes_per_record: u64) {
-        self.pending.store(pending_records, Ordering::Relaxed);
-        let bytes = pending_records.saturating_mul(bytes_per_record);
-        self.limbo_bytes.store(bytes, Ordering::Relaxed);
-        if bytes > self.limbo_bytes_hwm.load(Ordering::Relaxed) {
-            self.limbo_bytes_hwm.store(bytes, Ordering::Relaxed);
-        }
     }
 }
 
@@ -181,17 +163,19 @@ mod tests {
 
     #[test]
     fn publish_limbo_tracks_bytes_and_watermark() {
-        let s = ThreadStatsSlot::default();
-        s.publish_limbo(10, 64);
+        // 64-byte records: the table derives the bytes from the record type.
+        let table: ThreadTable<[u8; 64]> = ThreadTable::new(1);
+        let s = table.stats(0);
+        table.publish_limbo(0, 10);
         assert_eq!(s.pending.load(Ordering::Relaxed), 10);
         assert_eq!(s.limbo_bytes.load(Ordering::Relaxed), 640);
         assert_eq!(s.limbo_bytes_hwm.load(Ordering::Relaxed), 640);
         // Reclaiming shrinks the gauge but the watermark stays.
-        s.publish_limbo(2, 64);
+        table.publish_limbo(0, 2);
         assert_eq!(s.limbo_bytes.load(Ordering::Relaxed), 128);
         assert_eq!(s.limbo_bytes_hwm.load(Ordering::Relaxed), 640);
         // A new peak raises it.
-        s.publish_limbo(100, 64);
+        table.publish_limbo(0, 100);
         assert_eq!(s.limbo_bytes_hwm.load(Ordering::Relaxed), 6400);
 
         let mut agg = ReclaimerStats::default();

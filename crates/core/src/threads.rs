@@ -3,10 +3,17 @@
 //!
 //! The paper's Record Manager (Section 6) separates what every scheme must do from what
 //! makes a scheme different.  A [`ThreadTable`] is the first half for the reclaimer
-//! layer: a scheme owns its announcements, limbo bags and scans; the table owns which
-//! thread slots are leased, each thread's [`ThreadStatsSlot`], and the records exited
-//! threads left behind.  [`Reclaimer`](crate::Reclaimer) reads `max_threads`, `stats` and
-//! `drain_orphans` off the table, so no scheme writes them.
+//! layer.  It provides which thread slots are leased, each thread's [`ThreadStatsSlot`]
+//! with its limbo gauge ([`publish_limbo`](ThreadTable::publish_limbo) takes a record
+//! count and derives the bytes from `T`), and the records exited threads left behind.
+//! [`Reclaimer`](crate::Reclaimer) reads `max_threads`, `stats` and `drain_orphans` off
+//! the table, so no scheme writes them.
+//!
+//! A scheme writes only what makes it different: its announcement (an epoch word, an
+//! interval, or per-record slots in the shared [`AnnounceSlots`](crate::AnnounceSlots)),
+//! its limbo (the epoch schemes share [`LimboBags`](crate::LimboBags)), its own counters
+//! in its stats slot, and its scan, which moves whole blocks to the sink through
+//! [`hand_over`](crate::hand_over).
 
 use std::ptr::NonNull;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -104,6 +111,21 @@ impl<T> ThreadTable<T> {
         &self.stats[tid]
     }
 
+    /// Publishes thread `tid`'s limbo backlog of `pending` records (only that thread may
+    /// call it).  Schemes call this wherever the population changes (retire, reclaim),
+    /// passing the recomputed count, so the gauge cannot drift; the bytes are
+    /// `pending × size_of::<T>()`, and the watermark only rises.
+    #[inline]
+    pub fn publish_limbo(&self, tid: usize, pending: u64) {
+        let s = &self.stats[tid];
+        let bytes = pending.saturating_mul(std::mem::size_of::<T>() as u64);
+        s.pending.store(pending, Ordering::Relaxed);
+        s.limbo_bytes.store(bytes, Ordering::Relaxed);
+        if bytes > s.limbo_bytes_hwm.load(Ordering::Relaxed) {
+            s.limbo_bytes_hwm.store(bytes, Ordering::Relaxed);
+        }
+    }
+
     /// Every thread's counters summed into one snapshot.
     pub fn snapshot(&self) -> ReclaimerStats {
         let mut agg = ReclaimerStats::default();
@@ -127,7 +149,7 @@ impl<T> ThreadTable<T> {
         if limbo.peek().is_some() {
             self.orphans.lock().expect("orphan list poisoned").extend(limbo);
         }
-        self.stats[tid].publish_limbo(0, 0);
+        self.publish_limbo(tid, 0);
     }
 
     /// Frees slot `tid` for the next [`claim`](Self::claim).
@@ -182,8 +204,8 @@ mod tests {
     fn orphan_zeroes_the_gauge_and_drain_returns_each_record_once() {
         let table: ThreadTable<u64> = ThreadTable::new(2);
         let records: Vec<NonNull<u64>> = (0..3).map(leak).collect();
-        table.stats(0).publish_limbo(3, 8);
-        table.stats(1).publish_limbo(1, 8);
+        table.publish_limbo(0, 3);
+        table.publish_limbo(1, 1);
 
         // SAFETY: the records are leaked above and owned by this test alone; the table
         // never dereferences them, and they are freed below after the drain.

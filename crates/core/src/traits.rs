@@ -233,6 +233,19 @@ pub trait Reclaimer<T: Send>: Send + Sync + Sized + 'static {
 ///   returns `true`.
 /// * For schemes with crash recovery (DEBRA+), consult [`check`](Self::check) at every
 ///   checkpoint and run the recovery protocol when it reports [`Neutralized`].
+///
+/// # What a scheme implements
+///
+/// Four methods are required: the operation bracket (`leave_qstate`, `enter_qstate`,
+/// `is_quiescent`) and `retire`.  Every other method defaults to what a scheme without
+/// that capability does — per-record protection (`protect`, `unprotect`,
+/// `is_protected`), birth tagging (`record_allocated`), the checkpoint (`check`) and
+/// crash recovery (`r_protect`, `r_unprotect_all`, `is_r_protected`, `begin_recovery`) —
+/// so the data structure calls them all unconditionally and monomorphization removes
+/// the no-ops.
+/// The thread slot is not part of the handle's interface: the
+/// [`RecordManagerThread`](crate::RecordManagerThread) owns it, and the shared
+/// bookkeeping behind it lives in the scheme's [`ThreadTable`].
 pub trait ReclaimerThread<T: Send> {
     /// `true` if this scheme supports crash recovery / neutralization (DEBRA+).
     const SUPPORTS_CRASH_RECOVERY: bool = false;
@@ -241,9 +254,6 @@ pub trait ReclaimerThread<T: Send> {
     /// safe choice (`Announce`: per-access validated protection, no helping);
     /// epoch-style schemes opt into `Pin`, version-based schemes into `Validate`.
     const READ_PROTECTION: ReadProtection = ReadProtection::Announce;
-
-    /// The thread slot this handle was registered with.
-    fn tid(&self) -> usize;
 
     /// Announces that a data structure operation is starting (the thread leaves its
     /// quiescent state).  Reclaimed records, if any, are handed to `sink`.
@@ -301,15 +311,11 @@ pub trait ReclaimerThread<T: Send> {
     /// Releases the protection slot `slot`.
     fn unprotect(&mut self, _slot: usize) {}
 
-    /// Returns `true` if this thread currently protects `record`.
+    /// Returns `true` unless this thread's per-record announcements leave `record` out.
+    /// The default `true` means "this scheme makes no per-record announcement to check"
+    /// (its protection, if any, is per operation); announcing schemes override it.
     fn is_protected(&self, _record: NonNull<T>) -> bool {
-        false
-    }
-
-    /// Number of per-thread protection slots offered by this scheme (0 for epoch-based
-    /// schemes).
-    fn protection_slots(&self) -> usize {
-        0
+        true
     }
 
     // ---- crash recovery (DEBRA+) ------------------------------------------------------
@@ -335,14 +341,10 @@ pub trait ReclaimerThread<T: Send> {
         Ok(())
     }
 
-    /// Returns `true` if this thread has been neutralized and has not yet begun recovery.
-    fn is_neutralized(&self) -> bool {
-        false
-    }
-
-    /// Acknowledges a neutralization: clears the neutralized flag so the thread can run its
-    /// recovery code and restart the operation.  The thread stays quiescent until its next
-    /// [`leave_qstate`](Self::leave_qstate).
+    /// Acknowledges a pending neutralization, if any: clears the neutralized flag so the
+    /// thread can run its recovery code and restart the operation.  The thread stays
+    /// quiescent until its next [`leave_qstate`](Self::leave_qstate).  Called after every
+    /// restart; a no-op when the thread was not neutralized.
     fn begin_recovery(&mut self) {}
 }
 

@@ -107,8 +107,9 @@ use std::sync::Arc;
 use blockbag::BlockBag;
 use crossbeam_utils::CachePadded;
 use debra::{
-    header_of, CodeModifications, ReclaimSink, Reclaimer, ReclaimerThread, RegistrationError,
-    SchemeProperties, Termination, ThreadStatsSlot, ThreadTable, TimingAssumptions,
+    hand_over, header_of, CodeModifications, ReclaimSink, Reclaimer, ReclaimerThread,
+    RegistrationError, SchemeProperties, Termination, ThreadStatsSlot, ThreadTable,
+    TimingAssumptions,
 };
 
 /// Reservation slot value meaning "no active reservation" (lower bound).
@@ -373,8 +374,7 @@ impl<T: Send + 'static> IbrThread<T> {
     }
 
     fn publish_pending(&self) {
-        let stats = self.global.threads.stats(self.tid);
-        stats.publish_limbo(self.limbo_len() as u64, std::mem::size_of::<T>() as u64);
+        self.global.threads.publish_limbo(self.tid, self.limbo_len() as u64);
     }
 
     fn maybe_advance_era(&mut self) {
@@ -431,11 +431,7 @@ impl<T: Send + 'static> IbrThread<T> {
         }
 
         let stats = self.global.threads.stats(self.tid);
-        let mut reclaimed = 0u64;
-        for block in self.ready.take_full_blocks() {
-            reclaimed += block.len() as u64;
-            sink.accept_block(block);
-        }
+        let reclaimed = hand_over(self.ready.take_full_blocks(), sink);
         if reclaimed > 0 {
             ThreadStatsSlot::bump(&stats.reclaimed, reclaimed);
         }
@@ -449,10 +445,6 @@ impl<T: Send + 'static> IbrThread<T> {
 }
 
 impl<T: Send + 'static> ReclaimerThread<T> for IbrThread<T> {
-    fn tid(&self) -> usize {
-        self.tid
-    }
-
     fn leave_qstate<S: ReclaimSink<T>>(&mut self, _sink: &mut S) -> bool {
         let era = self.global.era.load(Ordering::SeqCst);
         let r = &self.global.reservations[self.tid];

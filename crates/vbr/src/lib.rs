@@ -188,7 +188,7 @@ impl<T> Vbr<T> {
         let advanced =
             self.clock.compare_exchange(cur, cur + 1, Ordering::SeqCst, Ordering::SeqCst).is_ok();
         if advanced {
-            self.threads.stats(tid).epochs_advanced.fetch_add(1, Ordering::Relaxed);
+            ThreadStatsSlot::bump(&self.threads.stats(tid).epochs_advanced, 1);
         }
         advanced
     }
@@ -340,7 +340,7 @@ impl<T> VbrThread<T> {
         if reclaimed > 0 {
             let stats = self.thread_stats();
             ThreadStatsSlot::bump(&stats.reclaimed, reclaimed);
-            stats.publish_limbo(self.limbo_len as u64, std::mem::size_of::<T>() as u64);
+            self.global.threads.publish_limbo(self.tid, self.limbo_len as u64);
         }
     }
 }
@@ -349,10 +349,6 @@ impl<T: Send + 'static> ReclaimerThread<T> for VbrThread<T> {
     // Reads are neither announced nor covered by a pin: they are validated at
     // checkpoints against the version clock, and stale readers restart.
     const READ_PROTECTION: ReadProtection = ReadProtection::Validate;
-
-    fn tid(&self) -> usize {
-        self.tid
-    }
 
     fn leave_qstate<S: ReclaimSink<T>>(&mut self, sink: &mut S) -> bool {
         self.quiescent = false;
@@ -414,7 +410,7 @@ impl<T: Send + 'static> ReclaimerThread<T> for VbrThread<T> {
         self.limbo_len += 1;
         let stats = self.thread_stats();
         ThreadStatsSlot::bump(&stats.retired, 1);
-        stats.publish_limbo(self.limbo_len as u64, std::mem::size_of::<T>() as u64);
+        self.global.threads.publish_limbo(self.tid, self.limbo_len as u64);
         self.retires_since_tick += 1;
         if self.retires_since_tick >= self.global.config.epoch_freq {
             self.retires_since_tick = 0;
@@ -471,7 +467,7 @@ impl<T: Send + 'static> VbrThread<T> {
             // Stale: some batch retired after our snapshot may already be
             // recycled.  Refuse; the guard layer converts this into a typed
             // Restart and the operation re-pins.
-            self.thread_stats().epoch_stalls.fetch_add(1, Ordering::Relaxed);
+            ThreadStatsSlot::bump(&self.thread_stats().epoch_stalls, 1);
             return false;
         }
         // Exactly one tick elapsed.  Nothing is recycled yet (that takes two),
@@ -500,7 +496,7 @@ impl<T: Send + 'static> VbrThread<T> {
     #[cold]
     #[inline(never)]
     fn check_cold(&self) {
-        self.thread_stats().epoch_stalls.fetch_add(1, Ordering::Relaxed);
+        ThreadStatsSlot::bump(&self.thread_stats().epoch_stalls, 1);
     }
 }
 

@@ -412,6 +412,46 @@ fn shield_set_exhaustion_panics() {
     let _set = guard.shield_set::<33>();
 }
 
+/// `ShieldSet::duplicate` asserts, in debug builds, that the source role protects the
+/// record.  Under a scheme that announces records one by one (HP) a record the role does
+/// not announce trips it.
+#[cfg(debug_assertions)]
+#[test]
+#[should_panic(expected = "duplicate requires the record to be protected by the source role")]
+fn duplicate_of_a_record_the_source_role_does_not_protect_panics_under_hp() {
+    let domain: HpDomain = Domain::new(1);
+    let guard = domain.pin();
+    let owned = guard.alloc(7);
+    let mut set = guard.shield_set::<2>();
+    set.duplicate(0, 1, owned.shared());
+}
+
+/// The same duplicate passes under DEBRA, which announces no record to check, and under
+/// HP once the source role announces the record; the copy then outlives the source.
+#[test]
+fn duplicate_checks_only_what_the_scheme_announces() {
+    let domain: DebraDomain = Domain::new(1);
+    let guard = domain.pin();
+    let owned = guard.alloc(7);
+    let mut set = guard.shield_set::<2>();
+    set.duplicate(0, 1, owned.shared());
+    drop(set);
+    guard.discard(owned);
+
+    let domain: HpDomain = Domain::new(1);
+    let hp = Arc::clone(domain.manager().reclaimer());
+    let guard = domain.pin();
+    let owned = guard.alloc(7);
+    let record = NonNull::new(owned.shared().as_ptr()).unwrap();
+    let mut set = guard.shield_set::<2>();
+    set.protect_private(0, &owned);
+    set.duplicate(0, 1, owned.shared());
+    set.release(0);
+    assert!(hp.is_protected_by_any(record), "role 1's copy stands after role 0 lets go");
+    drop(set);
+    guard.discard(owned);
+}
+
 /// The `Recovery` scope is the RAII bracket of DEBRA+'s restricted hazard pointers: a
 /// protection announced in the scope survives a [`Restart`] recovery cycle (the
 /// completion-phase protocol — `Guard::recover` must *not* release it) and is released
