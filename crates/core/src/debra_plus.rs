@@ -559,17 +559,31 @@ mod tests {
     }
 
     #[test]
-    fn r_protect_is_idempotent_and_the_rotation_sees_every_announcement() {
+    fn r_protect_is_idempotent() {
+        let plus: Arc<DebraPlus<u64>> =
+            Arc::new(DebraPlus::with_config(1, tiny_config(), SignalDriver::simulated()));
+        let mut a = DebraPlus::register(&plus, 0).unwrap();
+        for _ in 0..3 {
+            a.r_protect(addr(1));
+        }
+        assert_eq!(a.r_len, 1, "re-announcing a record takes no second slot");
+        a.r_protect(addr(2));
+        a.r_protect(addr(1));
+        assert_eq!(a.r_len, 2);
+        plus.rprotected.collect_into(&mut a.protected);
+        assert_eq!(a.protected, [1, 2].map(|v| addr(v).as_ptr() as usize).into());
+    }
+
+    #[test]
+    fn r_protect_contains_unprotect_and_the_rotation_sees_every_announcement() {
         let plus: Arc<DebraPlus<u64>> =
             Arc::new(DebraPlus::with_config(2, tiny_config(), SignalDriver::simulated()));
         let mut a = DebraPlus::register(&plus, 0).unwrap();
         let mut b = DebraPlus::register(&plus, 1).unwrap();
-        for _ in 0..3 {
-            a.r_protect(addr(1));
-        }
+        a.r_protect(addr(1));
         a.r_protect(addr(2));
         b.r_protect(addr(3));
-        assert_eq!(a.r_len, 2, "re-announcing a record takes no second slot");
+        assert_eq!(a.r_len, 2);
         assert!(a.is_r_protected(addr(1)) && a.is_r_protected(addr(2)));
         assert!(!a.is_r_protected(addr(3)) && b.is_r_protected(addr(3)));
 
