@@ -68,6 +68,24 @@ const KIND_NAMES: [&str; KIND_COUNT] = [
 ];
 
 impl ViolationKind {
+    /// Every kind, in discriminant order (the order of the names [`Self::name`] returns):
+    /// a report that sweeps this array cannot miss a kind.
+    pub const ALL: [ViolationKind; KIND_COUNT] = [
+        ViolationKind::UseAfterFree,
+        ViolationKind::DerefRetiredUnprotected,
+        ViolationKind::DerefRetiredStale,
+        ViolationKind::DerefOutsideOperation,
+        ViolationKind::DoubleRetire,
+        ViolationKind::RetireUnpublished,
+        ViolationKind::RetireAfterFree,
+        ViolationKind::FreeUnretired,
+        ViolationKind::DoubleFree,
+        ViolationKind::FreeWhileProtected,
+        ViolationKind::AllocOverLive,
+        ViolationKind::PublishAfterRetire,
+        ViolationKind::TypeMismatch,
+    ];
+
     /// Stable kebab-case name (used in reports and the DESIGN.md catalogue).
     pub fn name(self) -> &'static str {
         KIND_NAMES[self as usize]
@@ -217,4 +235,16 @@ pub fn reset() {
     }
     TOTAL.store(0, Ordering::Relaxed);
     LEAKED.store(0, Ordering::Relaxed);
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn all_lists_every_kind_in_discriminant_order() {
+        for (i, kind) in ViolationKind::ALL.into_iter().enumerate() {
+            assert_eq!(kind as usize, i, "{kind} is out of place in ViolationKind::ALL");
+        }
+    }
 }

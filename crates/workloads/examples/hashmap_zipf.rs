@@ -23,7 +23,7 @@ fn main() {
     );
     println!("scheme     | dist     | Mops/s   | retired    | reclaimed  | neutralized");
     println!("-----------|----------|----------|------------|------------|------------");
-    for reclaimer in ReclaimerKind::ALL {
+    for reclaimer in ReclaimerKind::all() {
         for distribution in [KeyDistribution::Uniform, KeyDistribution::ZIPF_DEFAULT] {
             let cfg = WorkloadConfig {
                 threads,

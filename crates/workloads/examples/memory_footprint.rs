@@ -31,13 +31,9 @@ fn main() {
         cfg.duration_ms
     );
     println!("scheme  | throughput (Mops/s) | bytes allocated for records | records allocated");
-    for reclaimer in [
-        ReclaimerKind::None,
-        ReclaimerKind::Ebr,
-        ReclaimerKind::HazardPointers,
-        ReclaimerKind::Debra,
-        ReclaimerKind::DebraPlus,
-    ] {
+    for reclaimer in
+        ["none", "classic_ebr", "hazard_pointers", "debra", "debra_plus"].map(ReclaimerKind::named)
+    {
         let row = run_config(StructureKind::Bst, reclaimer, &cfg, 99);
         println!(
             "{:7} | {:19.3} | {:27} | {:17}",

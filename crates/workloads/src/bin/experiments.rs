@@ -25,6 +25,8 @@
 //!                 the default uses smaller ranges so a full sweep finishes quickly
 //!   ALLOCATOR     override each experiment's memory configuration: bump-no-pool,
 //!                 bump, system (malloc), or pagepool (the type-stable page allocator)
+//!
+//! A value that does not parse stops the run before the first trial.
 //! ```
 
 use smr_workloads::experiments::{
@@ -35,24 +37,53 @@ use smr_workloads::figure2;
 use smr_workloads::workload::{KeyDistribution, OperationMix, WorkloadConfig};
 use smr_workloads::AllocatorKind;
 
-fn env_u64(name: &str, default: u64) -> u64 {
-    std::env::var(name).ok().and_then(|v| v.parse().ok()).unwrap_or(default)
+/// The sweep knobs the environment sets (see the module docs).
+#[derive(Debug, PartialEq)]
+struct Knobs {
+    /// `DURATION_MS`: per-trial duration.
+    duration_ms: u64,
+    /// `THREADS`: the thread counts to sweep.
+    threads: Vec<usize>,
+    /// `FULL_KEYRANGE` unset or 0: the small key ranges.
+    small_keyranges: bool,
 }
 
-fn env_threads() -> Vec<usize> {
-    std::env::var("THREADS")
-        .ok()
-        .map(|v| v.split(',').filter_map(|t| t.trim().parse().ok()).collect())
-        .filter(|v: &Vec<usize>| !v.is_empty())
-        .unwrap_or_else(|| vec![1, 2, 4, 8])
+/// Reads the knobs through `var` (the environment, in `main`).  An unset or empty
+/// variable takes its default; a value that does not parse is an error, so a misspelled
+/// knob fails the run instead of silently sweeping the default.
+fn parse_knobs(var: impl Fn(&str) -> Option<String>) -> Result<Knobs, String> {
+    let set = |name: &str| var(name).filter(|v| !v.trim().is_empty());
+    let number = |name: &str, default: u64| match set(name) {
+        None => Ok(default),
+        Some(v) => {
+            v.trim().parse().map_err(|_| format!("{name}={v:?} is not a non-negative integer"))
+        }
+    };
+    let threads = match set("THREADS") {
+        None => vec![1, 2, 4, 8],
+        Some(v) => v
+            .split(',')
+            .map(|t| t.trim().parse().ok().filter(|&n: &usize| n > 0))
+            .collect::<Option<Vec<usize>>>()
+            .ok_or_else(|| {
+                format!("THREADS={v:?} is not a comma-separated list of positive counts")
+            })?,
+    };
+    Ok(Knobs {
+        duration_ms: number("DURATION_MS", 300)?,
+        threads,
+        small_keyranges: number("FULL_KEYRANGE", 0)? == 0,
+    })
 }
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let cmd = args.first().map(String::as_str).unwrap_or("all");
-    let duration = env_u64("DURATION_MS", 300);
-    let threads = env_threads();
-    let small = env_u64("FULL_KEYRANGE", 0) == 0;
+    let Knobs { duration_ms: duration, threads, small_keyranges: small } =
+        parse_knobs(|name| std::env::var(name).ok()).unwrap_or_else(|e| {
+            eprintln!("error: {e}");
+            std::process::exit(2);
+        });
 
     match cmd {
         "figure2" => {
@@ -132,7 +163,8 @@ fn main() {
                 prefill: true,
                 allocator: experiments::allocator_from_env(AllocatorKind::BumpWithPool),
             };
-            let row = experiments::run_config(StructureKind::Bst, ReclaimerKind::Debra, &cfg, 1);
+            let debra = ReclaimerKind::named("debra");
+            let row = experiments::run_config(StructureKind::Bst, debra, &cfg, 1);
             print_rows("Quick check", &[row]);
         }
         "all" => {
@@ -160,6 +192,46 @@ fn main() {
         other => {
             eprintln!("unknown subcommand `{other}`; see the module docs for usage");
             std::process::exit(2);
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn knobs(vars: &[(&str, &str)]) -> Result<Knobs, String> {
+        parse_knobs(|name| vars.iter().find(|(k, _)| *k == name).map(|(_, v)| v.to_string()))
+    }
+
+    #[test]
+    fn unset_and_empty_knobs_take_their_defaults() {
+        let defaults =
+            || Knobs { duration_ms: 300, threads: vec![1, 2, 4, 8], small_keyranges: true };
+        assert_eq!(knobs(&[]), Ok(defaults()));
+        let empty = [("DURATION_MS", ""), ("THREADS", " "), ("FULL_KEYRANGE", "")];
+        assert_eq!(knobs(&empty), Ok(defaults()));
+    }
+
+    #[test]
+    fn well_formed_knobs_parse() {
+        let set = knobs(&[("DURATION_MS", "30"), ("THREADS", "2, 4"), ("FULL_KEYRANGE", "1")]);
+        assert_eq!(set, Ok(Knobs { duration_ms: 30, threads: vec![2, 4], small_keyranges: false }));
+        assert_eq!(knobs(&[("FULL_KEYRANGE", "0")]).map(|k| k.small_keyranges), Ok(true));
+    }
+
+    #[test]
+    fn malformed_knobs_are_errors() {
+        for vars in [
+            [("DURATION_MS", "30ms")],
+            [("DURATION_MS", "-1")],
+            [("THREADS", "2,x")],
+            [("THREADS", "2,,4")],
+            [("THREADS", "0")],
+            [("FULL_KEYRANGE", "yes")],
+        ] {
+            let err = knobs(&vars).expect_err("a malformed knob must not fall back to a default");
+            assert!(err.contains(vars[0].0), "{err:?} must name {}", vars[0].0);
         }
     }
 }

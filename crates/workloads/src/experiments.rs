@@ -16,14 +16,12 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
-use debra::{Allocator, Debra, DebraPlus, Pool, PoolStats, Reclaimer, RecordManager};
-use lockfree_ds::{BstNode, ExternalBst, SkipList, SkipNode};
-use smr_alloc::{BumpAllocator, NoPool, SystemAllocator, ThreadPool};
-use smr_baselines::{ClassicEbr, HazardPointers, NoReclaim, ThreadScanLite};
-use smr_hashmap::{HashMapNode, LockFreeHashMap};
-use smr_ibr::Ibr;
-use smr_pagepool::{PageAllocator, PagePool};
-use smr_vbr::Vbr;
+use debra_repro::debra::{Allocator, Pool, PoolStats, Reclaimer, SchemeProperties};
+use debra_repro::for_each_scheme;
+use debra_repro::lockfree_ds::{BstNode, ConcurrentMap, ExternalBst, SkipList, SkipNode};
+use debra_repro::schemes::{self, MallocMemory, Manager, Memory, On, PageMemory, Scheme};
+use debra_repro::smr_alloc::{BumpAllocator, NoPool, ThreadPool};
+use debra_repro::smr_hashmap::{HashMapNode, LockFreeHashMap};
 
 use crate::harness::{run_trial, TrialResult};
 use crate::workload::{KeyDistribution, OperationMix, WorkloadConfig};
@@ -56,70 +54,60 @@ fn narrate_trial(desc: std::fmt::Arguments<'_>) {
     }
 }
 
-/// Which reclamation scheme a configuration uses.
+/// Which reclamation scheme a configuration uses: an entry of the scheme registry
+/// ([`debra_repro::schemes`]), named by its registry id.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum ReclaimerKind {
-    /// No reclamation at all (the paper's "None").
-    None,
-    /// DEBRA (this paper).
-    Debra,
-    /// DEBRA+ (this paper, fault tolerant).
-    DebraPlus,
-    /// Hazard pointers.
-    HazardPointers,
-    /// Classical epoch based reclamation.
-    Ebr,
-    /// ThreadScan-lite (fence-free announcements, signal-driven collective scans).
-    ThreadScan,
-    /// Interval-based reclamation (2GEIBR-style birth/retire-era tagging).
-    Ibr,
-    /// Version-based reclamation (announcement-free optimistic reads; requires the
-    /// type-stable page pool).
-    Vbr,
-}
+pub struct ReclaimerKind(&'static str);
 
 impl ReclaimerKind {
-    /// All eight implemented schemes: the five compared in the paper's figures plus the
-    /// three modern points of comparison this reproduction adds (ThreadScan, IBR, VBR).
-    pub const ALL: [ReclaimerKind; 8] = [
-        ReclaimerKind::None,
-        ReclaimerKind::Debra,
-        ReclaimerKind::DebraPlus,
-        ReclaimerKind::HazardPointers,
-        ReclaimerKind::Ebr,
-        ReclaimerKind::ThreadScan,
-        ReclaimerKind::Ibr,
-        ReclaimerKind::Vbr,
-    ];
-
-    /// The scheme's display name (matches the paper's legend).
-    pub fn name(&self) -> &'static str {
-        match self {
-            ReclaimerKind::None => "None",
-            ReclaimerKind::Debra => "DEBRA",
-            ReclaimerKind::DebraPlus => "DEBRA+",
-            ReclaimerKind::HazardPointers => "HP",
-            ReclaimerKind::Ebr => "EBR",
-            ReclaimerKind::ThreadScan => "ThreadScan",
-            ReclaimerKind::Ibr => "IBR",
-            ReclaimerKind::Vbr => "VBR",
-        }
+    /// Every registered scheme, in registry order: the five compared in the paper's
+    /// figures plus the modern points of comparison this reproduction adds.
+    pub fn all() -> impl Iterator<Item = ReclaimerKind> {
+        schemes::IDS.iter().map(|&id| ReclaimerKind(id))
     }
 
-    /// `true` for schemes whose optimistic reads are machine-safe only over a
-    /// type-stable allocator (`debra::AllocatorRequirement::TypeStable`);
-    /// registration panics otherwise.
-    pub fn requires_type_stable_allocator(&self) -> bool {
-        matches!(self, ReclaimerKind::Vbr)
+    /// The scheme registered as `id` (`"debra"`, `"hazard_pointers"`, …).
+    ///
+    /// # Panics
+    ///
+    /// Panics if no scheme is registered under `id`.
+    pub fn named(id: &str) -> ReclaimerKind {
+        Self::all()
+            .find(|kind| kind.0 == id)
+            .unwrap_or_else(|| panic!("no reclamation scheme is registered as {id:?}"))
+    }
+
+    /// The scheme's registry id.
+    pub fn id(self) -> &'static str {
+        self.0
+    }
+
+    /// The scheme's display name (matches the paper's legend).
+    pub fn name(self) -> &'static str {
+        fn name<S: Scheme>() -> &'static str {
+            S::name()
+        }
+        for_each_scheme!(match self.0 => name())
+    }
+
+    /// The scheme's Figure 2 row.
+    pub fn properties(self) -> SchemeProperties {
+        fn properties<S: Scheme>() -> SchemeProperties {
+            S::properties()
+        }
+        for_each_scheme!(match self.0 => properties())
     }
 
     /// The memory configuration a trial of this scheme actually runs with: the
-    /// requested one, except that type-stability-requiring schemes are coerced to
-    /// [`AllocatorKind::PagePool`] (with a stderr note) so sweeps over
-    /// `ReclaimerKind::ALL` don't abort on the one scheme the requested allocator
-    /// cannot host.
-    pub fn effective_allocator(&self, requested: AllocatorKind) -> AllocatorKind {
-        if self.requires_type_stable_allocator() && requested != AllocatorKind::PagePool {
+    /// requested one, except that a scheme whose reads need a type-stable allocator
+    /// (`AllocatorRequirement::TypeStable`) is coerced to
+    /// [`AllocatorKind::PagePool`] (with a stderr note), so sweeps over every scheme don't
+    /// abort on the one scheme the requested allocator cannot host.
+    pub fn effective_allocator(self, requested: AllocatorKind) -> AllocatorKind {
+        fn type_stable<S: Scheme>() -> bool {
+            S::TYPE_STABLE
+        }
+        if for_each_scheme!(match self.0 => type_stable()) && requested != AllocatorKind::PagePool {
             eprintln!(
                 "note: {} requires ALLOCATOR=pagepool; running it on pagepool instead of {}",
                 self.name(),
@@ -273,86 +261,17 @@ pub fn run_config(
     // takes minutes, so narrate per-trial progress (with `i/N` and elapsed wall-clock)
     // to stderr (tables go to stdout).
     narrate_trial(format_args!(
-        "{structure:?} x {reclaimer:?} x {allocator:?} (threads={}, keys={}, {}ms)",
-        cfg.threads, cfg.key_range, cfg.duration_ms
+        "{structure:?} x {} x {allocator:?} (threads={}, keys={}, {}ms)",
+        reclaimer.name(),
+        cfg.threads,
+        cfg.key_range,
+        cfg.duration_ms
     ));
-    // The combinatorial instantiation of (structure × reclaimer × memory configuration) is
-    // expanded by this macro: each arm builds the Record Manager with the right type
-    // parameters (a one-line choice, which is the whole point of the abstraction) and runs
-    // the shared harness.
-    macro_rules! run {
-        ($ds:ident, $node:ty, $recl:ty, $pool:ty, $alloc:ty) => {{
-            // +1 slot for the calling thread (the prefill, then the harness's shutdown nudge).
-            let manager: Arc<RecordManager<$node, $recl, $pool, $alloc>> =
-                Arc::new(RecordManager::new(cfg.threads + 1));
-            let map = $ds::new(Arc::clone(&manager));
-            run_trial(
-                &map,
-                cfg,
-                seed,
-                || manager.reclaimer().stats(),
-                || (manager.allocator().allocated_bytes(), manager.allocator().allocated_records()),
-                || manager.pool().stats(),
-            )
-        }};
-    }
-
-    macro_rules! dispatch_structure {
-        ($recl:ident, $pool:ident, $alloc:ident) => {
-            match structure {
-                StructureKind::Bst => run!(
-                    ExternalBst,
-                    BstNode<u64, u64>,
-                    $recl<BstNode<u64, u64>>,
-                    $pool<BstNode<u64, u64>>,
-                    $alloc<BstNode<u64, u64>>
-                ),
-                StructureKind::SkipList => run!(
-                    SkipList,
-                    SkipNode<u64, u64>,
-                    $recl<SkipNode<u64, u64>>,
-                    $pool<SkipNode<u64, u64>>,
-                    $alloc<SkipNode<u64, u64>>
-                ),
-                StructureKind::HashMap => run!(
-                    LockFreeHashMap,
-                    HashMapNode<u64, u64>,
-                    $recl<HashMapNode<u64, u64>>,
-                    $pool<HashMapNode<u64, u64>>,
-                    $alloc<HashMapNode<u64, u64>>
-                ),
-            }
-        };
-    }
-
-    macro_rules! dispatch_memory {
-        ($recl:ident) => {
-            match allocator {
-                AllocatorKind::BumpNoPool => dispatch_structure!($recl, NoPool, BumpAllocator),
-                AllocatorKind::BumpWithPool => {
-                    dispatch_structure!($recl, ThreadPool, BumpAllocator)
-                }
-                AllocatorKind::SystemWithPool => {
-                    dispatch_structure!($recl, ThreadPool, SystemAllocator)
-                }
-                AllocatorKind::PagePool => dispatch_structure!($recl, PagePool, PageAllocator),
-            }
-        };
-    }
-
-    let result = match reclaimer {
-        ReclaimerKind::None => dispatch_memory!(NoReclaim),
-        ReclaimerKind::Debra => dispatch_memory!(Debra),
-        ReclaimerKind::DebraPlus => dispatch_memory!(DebraPlus),
-        ReclaimerKind::HazardPointers => dispatch_memory!(HazardPointers),
-        ReclaimerKind::Ebr => dispatch_memory!(ClassicEbr),
-        ReclaimerKind::ThreadScan => dispatch_memory!(ThreadScanLite),
-        ReclaimerKind::Ibr => dispatch_memory!(Ibr),
-        // VBR runs only on the page pool: `effective_allocator` coerces it there, and
-        // `RecordManager::new` rejects every other allocator.
-        ReclaimerKind::Vbr => dispatch_structure!(Vbr, PagePool, PageAllocator),
-    };
-
+    // The registry expands one arm per scheme; below it, the composition with a memory
+    // configuration and a structure is a one-line choice of type parameters, which is
+    // the whole point of the Record Manager abstraction.
+    let result =
+        for_each_scheme!(match reclaimer.id() => run_scheme(structure, allocator, cfg, seed));
     ExperimentRow {
         structure,
         reclaimer,
@@ -363,6 +282,76 @@ pub fn run_config(
         distribution: cfg.distribution,
         result,
     }
+}
+
+/// The bump allocator with no pool (Experiment 1): reclaimed records are never reused.
+struct BumpNoPoolMemory;
+
+impl Memory for BumpNoPoolMemory {
+    type Pool<T: Send + 'static> = NoPool<T>;
+    type Allocator<T: Send + 'static> = BumpAllocator<T>;
+}
+
+/// The bump allocator behind per-thread pools (Experiment 2).
+struct BumpMemory;
+
+impl Memory for BumpMemory {
+    type Pool<T: Send + 'static> = ThreadPool<T>;
+    type Allocator<T: Send + 'static> = BumpAllocator<T>;
+}
+
+/// Runs scheme `S` over `allocator`.  A scheme that needs a type-stable allocator runs
+/// only on its own memory, the page pool `effective_allocator` sent it to, so the other
+/// three memory configurations are never instantiated for it.
+fn run_scheme<S: Scheme>(
+    structure: StructureKind,
+    allocator: AllocatorKind,
+    cfg: &WorkloadConfig,
+    seed: u64,
+) -> TrialResult {
+    if S::TYPE_STABLE {
+        return run_structure::<S>(structure, cfg, seed);
+    }
+    match allocator {
+        AllocatorKind::BumpNoPool => run_structure::<On<S, BumpNoPoolMemory>>(structure, cfg, seed),
+        AllocatorKind::BumpWithPool => run_structure::<On<S, BumpMemory>>(structure, cfg, seed),
+        AllocatorKind::SystemWithPool => run_structure::<On<S, MallocMemory>>(structure, cfg, seed),
+        AllocatorKind::PagePool => run_structure::<On<S, PageMemory>>(structure, cfg, seed),
+    }
+}
+
+fn run_structure<S: Scheme>(
+    structure: StructureKind,
+    cfg: &WorkloadConfig,
+    seed: u64,
+) -> TrialResult {
+    match structure {
+        StructureKind::Bst => run_map::<S, BstNode<u64, u64>, _>(ExternalBst::new, cfg, seed),
+        StructureKind::SkipList => run_map::<S, SkipNode<u64, u64>, _>(SkipList::new, cfg, seed),
+        StructureKind::HashMap => {
+            run_map::<S, HashMapNode<u64, u64>, _>(LockFreeHashMap::new, cfg, seed)
+        }
+    }
+}
+
+/// Builds the structure `make` returns over a fresh Record Manager of scheme `S` and runs
+/// the shared harness on it.
+fn run_map<S: Scheme, T: Send + 'static, M: ConcurrentMap<u64, u64>>(
+    make: fn(Arc<Manager<S, T>>) -> M,
+    cfg: &WorkloadConfig,
+    seed: u64,
+) -> TrialResult {
+    // +1 slot for the calling thread (the prefill, then the harness's shutdown nudge).
+    let manager = Arc::new(Manager::<S, T>::new(cfg.threads + 1));
+    let map = make(Arc::clone(&manager));
+    run_trial(
+        &map,
+        cfg,
+        seed,
+        || manager.reclaimer().stats(),
+        || (manager.allocator().allocated_bytes(), manager.allocator().allocated_records()),
+        || manager.pool().stats(),
+    )
 }
 
 /// The grid of workload shapes used by the paper's figures (two operation mixes × the
@@ -388,9 +377,9 @@ pub fn paper_workloads(
     out
 }
 
+/// Runs every registered scheme over `structures` × their paper workloads × `thread_counts`.
 fn sweep(
     structures: &[StructureKind],
-    reclaimers: &[ReclaimerKind],
     allocator: AllocatorKind,
     thread_counts: &[usize],
     duration_ms: u64,
@@ -398,12 +387,12 @@ fn sweep(
 ) -> Vec<ExperimentRow> {
     let workloads: u64 =
         structures.iter().map(|&s| paper_workloads(s, small_keyranges).len() as u64).sum();
-    announce_trials(workloads * thread_counts.len() as u64 * reclaimers.len() as u64);
+    announce_trials(workloads * thread_counts.len() as u64 * schemes::IDS.len() as u64);
     let mut rows = Vec::new();
     for &structure in structures {
         for (key_range, mix) in paper_workloads(structure, small_keyranges) {
             for &threads in thread_counts {
-                for &reclaimer in reclaimers {
+                for reclaimer in ReclaimerKind::all() {
                     let cfg = WorkloadConfig {
                         threads,
                         key_range,
@@ -425,7 +414,6 @@ fn sweep(
 pub fn experiment1(thread_counts: &[usize], duration_ms: u64, small: bool) -> Vec<ExperimentRow> {
     sweep(
         &[StructureKind::Bst, StructureKind::SkipList, StructureKind::HashMap],
-        &ReclaimerKind::ALL,
         allocator_from_env(AllocatorKind::BumpNoPool),
         thread_counts,
         duration_ms,
@@ -437,7 +425,6 @@ pub fn experiment1(thread_counts: &[usize], duration_ms: u64, small: bool) -> Ve
 pub fn experiment2(thread_counts: &[usize], duration_ms: u64, small: bool) -> Vec<ExperimentRow> {
     sweep(
         &[StructureKind::Bst, StructureKind::SkipList, StructureKind::HashMap],
-        &ReclaimerKind::ALL,
         allocator_from_env(AllocatorKind::BumpWithPool),
         thread_counts,
         duration_ms,
@@ -452,7 +439,6 @@ pub fn experiment2_oversubscribed(duration_ms: u64, small: bool) -> Vec<Experime
     let counts = [cores, cores * 2, cores * 4];
     sweep(
         &[StructureKind::Bst],
-        &ReclaimerKind::ALL,
         allocator_from_env(AllocatorKind::BumpWithPool),
         &counts,
         duration_ms,
@@ -464,7 +450,6 @@ pub fn experiment2_oversubscribed(duration_ms: u64, small: bool) -> Vec<Experime
 pub fn experiment3(thread_counts: &[usize], duration_ms: u64, small: bool) -> Vec<ExperimentRow> {
     sweep(
         &[StructureKind::Bst, StructureKind::SkipList, StructureKind::HashMap],
-        &ReclaimerKind::ALL,
         allocator_from_env(AllocatorKind::SystemWithPool),
         thread_counts,
         duration_ms,
@@ -482,7 +467,7 @@ pub fn experiment_distribution(
     small: bool,
 ) -> Vec<ExperimentRow> {
     let allocator = allocator_from_env(AllocatorKind::BumpWithPool);
-    announce_trials(2 * 2 * thread_counts.len() as u64 * ReclaimerKind::ALL.len() as u64);
+    announce_trials(2 * 2 * thread_counts.len() as u64 * schemes::IDS.len() as u64);
     let mut rows = Vec::new();
     for structure in [StructureKind::HashMap, StructureKind::Bst] {
         let key_range = match (structure, small) {
@@ -493,7 +478,7 @@ pub fn experiment_distribution(
         };
         for distribution in [KeyDistribution::Uniform, KeyDistribution::ZIPF_DEFAULT] {
             for &threads in thread_counts {
-                for reclaimer in ReclaimerKind::ALL {
+                for reclaimer in ReclaimerKind::all() {
                     let cfg = WorkloadConfig {
                         threads,
                         key_range,
@@ -522,12 +507,9 @@ pub fn memory_footprint(duration_ms: u64, small: bool) -> Vec<ExperimentRow> {
     announce_trials(counts.len() as u64 * 4);
     let mut rows = Vec::new();
     for &threads in &counts {
-        for reclaimer in [
-            ReclaimerKind::None,
-            ReclaimerKind::Debra,
-            ReclaimerKind::DebraPlus,
-            ReclaimerKind::HazardPointers,
-        ] {
+        for reclaimer in
+            ["none", "debra", "debra_plus", "hazard_pointers"].map(ReclaimerKind::named)
+        {
             let cfg = WorkloadConfig {
                 threads,
                 key_range,
@@ -557,88 +539,35 @@ pub fn print_rows(title: &str, rows: &[ExperimentRow]) {
 /// rows that differ only in the reclaimer.
 pub fn summarize(rows: &[ExperimentRow]) -> Vec<String> {
     use std::collections::HashMap;
-    /// Everything that identifies a configuration except the reclaimer.
-    type ConfigKey = (StructureKind, AllocatorKind, usize, u64, String, String);
+    /// Throughput by scheme id, per group of rows that differ only in the scheme.
+    type Groups<K> = HashMap<K, HashMap<&'static str, f64>>;
+    /// The mean over `groups` of `num`'s throughput relative to `den`'s, taken over the
+    /// groups that hold both.
+    fn mean_ratio<K>(groups: &Groups<K>, num: &str, den: &str) -> f64 {
+        let ratios: Vec<f64> = groups
+            .values()
+            .filter_map(|by_scheme| Some(by_scheme.get(num)? / by_scheme.get(den)?))
+            .collect();
+        ratios.iter().sum::<f64>() / ratios.len().max(1) as f64
+    }
     // Group by everything except the reclaimer.
-    let mut groups: HashMap<ConfigKey, HashMap<ReclaimerKind, f64>> = HashMap::new();
-    for r in rows {
-        groups
-            .entry((
-                r.structure,
-                r.allocator,
-                r.threads,
-                r.key_range,
-                r.mix.clone(),
-                r.distribution.label(),
-            ))
-            .or_default()
-            .insert(r.reclaimer, r.result.throughput_mops);
-    }
-    let mut debra_vs_none = Vec::new();
-    let mut debra_plus_vs_none = Vec::new();
-    let mut debra_vs_hp = Vec::new();
-    let mut debra_plus_vs_hp = Vec::new();
-    let mut ibr_vs_none = Vec::new();
-    let mut ibr_vs_hp = Vec::new();
-    for (_, by_scheme) in groups {
-        if let (Some(&none), Some(&debra)) =
-            (by_scheme.get(&ReclaimerKind::None), by_scheme.get(&ReclaimerKind::Debra))
-        {
-            debra_vs_none.push(debra / none);
-        }
-        if let (Some(&none), Some(&dp)) =
-            (by_scheme.get(&ReclaimerKind::None), by_scheme.get(&ReclaimerKind::DebraPlus))
-        {
-            debra_plus_vs_none.push(dp / none);
-        }
-        if let (Some(&hp), Some(&debra)) =
-            (by_scheme.get(&ReclaimerKind::HazardPointers), by_scheme.get(&ReclaimerKind::Debra))
-        {
-            debra_vs_hp.push(debra / hp);
-        }
-        if let (Some(&hp), Some(&dp)) = (
-            by_scheme.get(&ReclaimerKind::HazardPointers),
-            by_scheme.get(&ReclaimerKind::DebraPlus),
-        ) {
-            debra_plus_vs_hp.push(dp / hp);
-        }
-        if let (Some(&none), Some(&ibr)) =
-            (by_scheme.get(&ReclaimerKind::None), by_scheme.get(&ReclaimerKind::Ibr))
-        {
-            ibr_vs_none.push(ibr / none);
-        }
-        if let (Some(&hp), Some(&ibr)) =
-            (by_scheme.get(&ReclaimerKind::HazardPointers), by_scheme.get(&ReclaimerKind::Ibr))
-        {
-            ibr_vs_hp.push(ibr / hp);
-        }
-    }
+    let mut groups: Groups<(StructureKind, AllocatorKind, usize, u64, String, String)> =
+        HashMap::new();
     // VBR runs only on the page pool (other allocators are coerced at dispatch), so its
     // rows sit in different allocator groups than the scheme it is measured against;
     // compare it across a second grouping that ignores the memory configuration.
-    type MixKey = (StructureKind, usize, u64, String, String);
-    let mut mix_groups: HashMap<MixKey, HashMap<ReclaimerKind, f64>> = HashMap::new();
+    let mut mix_groups: Groups<(StructureKind, usize, u64, String, String)> = HashMap::new();
     for r in rows {
-        mix_groups
-            .entry((r.structure, r.threads, r.key_range, r.mix.clone(), r.distribution.label()))
+        let (mix, dist) = (r.mix.clone(), r.distribution.label());
+        groups
+            .entry((r.structure, r.allocator, r.threads, r.key_range, mix.clone(), dist.clone()))
             .or_default()
-            .insert(r.reclaimer, r.result.throughput_mops);
+            .insert(r.reclaimer.id(), r.result.throughput_mops);
+        mix_groups
+            .entry((r.structure, r.threads, r.key_range, mix, dist))
+            .or_default()
+            .insert(r.reclaimer.id(), r.result.throughput_mops);
     }
-    let mut vbr_vs_none = Vec::new();
-    let mut vbr_vs_ebr = Vec::new();
-    for (_, by_scheme) in mix_groups {
-        if let (Some(&none), Some(&vbr)) =
-            (by_scheme.get(&ReclaimerKind::None), by_scheme.get(&ReclaimerKind::Vbr))
-        {
-            vbr_vs_none.push(vbr / none);
-        }
-        if let (Some(&ebr), Some(&vbr)) =
-            (by_scheme.get(&ReclaimerKind::Ebr), by_scheme.get(&ReclaimerKind::Vbr))
-        {
-            vbr_vs_ebr.push(vbr / ebr);
-        }
-    }
-    let avg = |v: &[f64]| v.iter().sum::<f64>() / v.len().max(1) as f64;
     let mut pool = PoolStats::default();
     for r in rows {
         pool.merge(&r.result.pool);
@@ -646,18 +575,18 @@ pub fn summarize(rows: &[ExperimentRow]) -> Vec<String> {
     vec![
         format!(
             "DEBRA throughput relative to None (paper: ~0.88–0.96x): {:.2}x",
-            avg(&debra_vs_none)
+            mean_ratio(&groups, "debra", "none")
         ),
         format!(
             "DEBRA+ throughput relative to None (paper: ~0.83–0.90x): {:.2}x",
-            avg(&debra_plus_vs_none)
+            mean_ratio(&groups, "debra_plus", "none")
         ),
-        format!("DEBRA speedup over HP (paper: ~1.75–1.94x): {:.2}x", avg(&debra_vs_hp)),
-        format!("DEBRA+ speedup over HP (paper: ~1.70–1.83x): {:.2}x", avg(&debra_plus_vs_hp)),
-        format!("IBR throughput relative to None (not in the paper): {:.2}x", avg(&ibr_vs_none)),
-        format!("IBR relative to HP (not in the paper): {:.2}x", avg(&ibr_vs_hp)),
-        format!("VBR throughput relative to None (not in the paper): {:.2}x", avg(&vbr_vs_none)),
-        format!("VBR relative to EBR (not in the paper): {:.2}x", avg(&vbr_vs_ebr)),
+        format!("DEBRA speedup over HP (paper: ~1.75–1.94x): {:.2}x", mean_ratio(&groups, "debra", "hazard_pointers")),
+        format!("DEBRA+ speedup over HP (paper: ~1.70–1.83x): {:.2}x", mean_ratio(&groups, "debra_plus", "hazard_pointers")),
+        format!("IBR throughput relative to None (not in the paper): {:.2}x", mean_ratio(&groups, "ibr", "none")),
+        format!("IBR relative to HP (not in the paper): {:.2}x", mean_ratio(&groups, "ibr", "hazard_pointers")),
+        format!("VBR throughput relative to None (not in the paper): {:.2}x", mean_ratio(&mix_groups, "vbr", "none")),
+        format!("VBR relative to EBR (not in the paper): {:.2}x", mean_ratio(&mix_groups, "vbr", "classic_ebr")),
         format!(
             "Allocation pipeline: {:.1}% magazine hit rate ({} hits / {} misses), {} pages mapped, {} slots live, {} slots free",
             pool.hit_rate_pct(),
@@ -676,7 +605,7 @@ mod tests {
 
     #[test]
     fn run_config_smoke_every_reclaimer_on_bst() {
-        for reclaimer in ReclaimerKind::ALL {
+        for reclaimer in ReclaimerKind::all() {
             let cfg = WorkloadConfig {
                 threads: 2,
                 key_range: 128,
@@ -688,16 +617,15 @@ mod tests {
             };
             let row = run_config(StructureKind::Bst, reclaimer, &cfg, 1);
             assert!(row.result.operations > 0, "{reclaimer:?} produced no operations");
-            if reclaimer != ReclaimerKind::None {
-                assert!(row.result.reclaimer.retired > 0);
-            }
+            // Even None counts what it retires (and abandons).
+            assert!(row.result.reclaimer.retired > 0, "{reclaimer:?} retired nothing");
         }
     }
 
     #[test]
     fn run_config_smoke_every_reclaimer_on_hashmap_both_distributions() {
         for distribution in [KeyDistribution::Uniform, KeyDistribution::ZIPF_DEFAULT] {
-            for reclaimer in ReclaimerKind::ALL {
+            for reclaimer in ReclaimerKind::all() {
                 let cfg = WorkloadConfig {
                     threads: 2,
                     key_range: 128,
@@ -712,9 +640,7 @@ mod tests {
                     row.result.operations > 0,
                     "{reclaimer:?}/{distribution:?} produced no operations"
                 );
-                if reclaimer != ReclaimerKind::None {
-                    assert!(row.result.reclaimer.retired > 0, "{reclaimer:?}/{distribution:?}");
-                }
+                assert!(row.result.reclaimer.retired > 0, "{reclaimer:?}/{distribution:?}");
             }
         }
     }
@@ -733,7 +659,7 @@ mod tests {
                 prefill: true,
                 allocator,
             };
-            let row = run_config(StructureKind::SkipList, ReclaimerKind::Debra, &cfg, 3);
+            let row = run_config(StructureKind::SkipList, ReclaimerKind::named("debra"), &cfg, 3);
             assert!(row.result.operations > 0);
             assert!(row.result.allocated_records > 0);
             if allocator == AllocatorKind::PagePool {
@@ -745,7 +671,7 @@ mod tests {
     #[test]
     fn summary_produces_nine_lines() {
         let mut rows = Vec::new();
-        for reclaimer in ReclaimerKind::ALL {
+        for reclaimer in ReclaimerKind::all() {
             let cfg = WorkloadConfig {
                 threads: 2,
                 key_range: 64,

@@ -1,26 +1,7 @@
 //! Regenerates the qualitative scheme-comparison table (the paper's Figure 2) from the
-//! `SchemeProperties` metadata reported by every implemented reclaimer.
+//! `SchemeProperties` metadata reported by every registered reclaimer, in registry order.
 
-use debra::{Debra, DebraPlus, Reclaimer, SchemeProperties};
-use smr_baselines::{ClassicEbr, HazardPointers, NoReclaim, ThreadScanLite};
-use smr_ibr::Ibr;
-use smr_vbr::Vbr;
-
-/// Collects the properties of every reclamation scheme implemented in this repository.
-pub fn implemented_schemes() -> Vec<SchemeProperties> {
-    // A throwaway record type: the properties do not depend on `T`.
-    type T = u64;
-    vec![
-        <NoReclaim<T> as Reclaimer<T>>::properties(),
-        <ClassicEbr<T> as Reclaimer<T>>::properties(),
-        <HazardPointers<T> as Reclaimer<T>>::properties(),
-        <ThreadScanLite<T> as Reclaimer<T>>::properties(),
-        <Ibr<T> as Reclaimer<T>>::properties(),
-        <Vbr<T> as Reclaimer<T>>::properties(),
-        <Debra<T> as Reclaimer<T>>::properties(),
-        <DebraPlus<T> as Reclaimer<T>>::properties(),
-    ]
-}
+use crate::experiments::ReclaimerKind;
 
 fn tick(b: bool) -> &'static str {
     if b {
@@ -32,11 +13,10 @@ fn tick(b: bool) -> &'static str {
 
 /// Renders the Figure 2 table as markdown.
 pub fn render_markdown() -> String {
-    let schemes = implemented_schemes();
     let mut out = String::new();
     out.push_str("| Scheme | per accessed record | per operation | per retired record | other modifications | timing assumptions | fault tolerant | reclamation termination | retired→retired traversal |\n");
     out.push_str("|--------|---------------------|---------------|--------------------|---------------------|--------------------|----------------|-------------------------|---------------------------|\n");
-    for s in schemes {
+    for s in ReclaimerKind::all().map(ReclaimerKind::properties) {
         out.push_str(&format!(
             "| {} | {} | {} | {} | {} | {} | {} | {} | {} |\n",
             s.name,
@@ -63,7 +43,7 @@ mod tests {
         for name in ["None", "EBR", "HP", "ThreadScan", "IBR", "VBR", "DEBRA", "DEBRA+"] {
             assert!(md.contains(name), "missing scheme {name}");
         }
-        let schemes = implemented_schemes();
+        let schemes: Vec<_> = ReclaimerKind::all().map(ReclaimerKind::properties).collect();
         let debra_plus = schemes.iter().find(|s| s.name == "DEBRA+").unwrap();
         assert!(debra_plus.fault_tolerant);
         assert!(debra_plus.can_traverse_retired_to_retired);

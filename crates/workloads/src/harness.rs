@@ -17,8 +17,8 @@
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
-use debra::{PoolStats, ReclaimerStats};
-use lockfree_ds::ConcurrentMap;
+use debra_repro::debra::{PoolStats, ReclaimerStats};
+use debra_repro::lockfree_ds::ConcurrentMap;
 
 use crate::workload::{Operation, OperationGenerator, WorkloadConfig};
 
@@ -224,9 +224,9 @@ fn run_trial_erased<'m>(
 mod tests {
     use super::*;
     use crate::workload::{KeyDistribution, OperationMix};
-    use debra::{Debra, Reclaimer, RecordManager};
-    use lockfree_ds::{HarrisMichaelList, ListNode};
-    use smr_alloc::{SystemAllocator, ThreadPool};
+    use debra_repro::debra::{Debra, Reclaimer, RecordManager};
+    use debra_repro::lockfree_ds::{HarrisMichaelList, ListNode};
+    use debra_repro::smr_alloc::{SystemAllocator, ThreadPool};
     use std::sync::Arc;
 
     type Node = ListNode<u64, u64>;
@@ -252,11 +252,11 @@ mod tests {
             1,
             || manager.reclaimer().stats(),
             || {
-                use debra::Allocator;
+                use debra_repro::debra::Allocator;
                 (manager.allocator().allocated_bytes(), manager.allocator().allocated_records())
             },
             || {
-                use debra::Pool;
+                use debra_repro::debra::Pool;
                 manager.pool().stats()
             },
         );
@@ -286,11 +286,11 @@ mod tests {
             2,
             || manager.reclaimer().stats(),
             || {
-                use debra::Allocator;
+                use debra_repro::debra::Allocator;
                 (manager.allocator().allocated_bytes(), manager.allocator().allocated_records())
             },
             || {
-                use debra::Pool;
+                use debra_repro::debra::Pool;
                 manager.pool().stats()
             },
         );

@@ -9,12 +9,13 @@
 //! statistics (records retired / reclaimed / pending, epoch advances, neutralizations).
 //!
 //! * [`workload`] — operation mixes, key ranges and the per-thread operation generator.
-//! * [`harness`] — the generic timed-trial driver over any [`lockfree_ds::ConcurrentMap`].
+//! * [`harness`] — the generic timed-trial driver over any
+//!   [`debra_repro::lockfree_ds::ConcurrentMap`].
 //! * [`experiments`] — one driver per paper experiment (Experiment 1, 2, 2-oversubscribed,
 //!   3, the memory-footprint figure and the headline summary), each parameterized over
 //!   data structure × reclaimer × pool × allocator.
 //! * [`figure2`] — regenerates the qualitative scheme-comparison table (paper, Figure 2)
-//!   from the `SchemeProperties` reported by every implemented reclaimer.
+//!   from the `SchemeProperties` reported by every registered reclaimer.
 //!
 //! Performance claims are not judged here: the repo's benchmark (`benchmark/`) measures
 //! throughput, latency and limbo from outside the program.

@@ -14,40 +14,24 @@
 //! Only compiled with `--features smr_sanitize`; the subcommand reports its absence
 //! otherwise.
 
-use smr_check::{count, leaked_records, total_violations, ViolationKind};
+use debra_repro::schemes;
+use debra_repro::smr_check::{count, leaked_records, total_violations, ViolationKind};
 
 use crate::experiments::{allocator_from_env, run_config, ReclaimerKind, StructureKind};
 use crate::workload::{KeyDistribution, OperationMix, WorkloadConfig};
 use crate::AllocatorKind;
-
-/// Violation kinds enumerated for the report, in severity order.
-const KINDS: [ViolationKind; 13] = [
-    ViolationKind::UseAfterFree,
-    ViolationKind::DerefRetiredUnprotected,
-    ViolationKind::DerefRetiredStale,
-    ViolationKind::DerefOutsideOperation,
-    ViolationKind::DoubleRetire,
-    ViolationKind::RetireUnpublished,
-    ViolationKind::RetireAfterFree,
-    ViolationKind::FreeUnretired,
-    ViolationKind::DoubleFree,
-    ViolationKind::FreeWhileProtected,
-    ViolationKind::AllocOverLive,
-    ViolationKind::PublishAfterRetire,
-    ViolationKind::TypeMismatch,
-];
 
 /// Runs the sanitized sweep and prints the violation report.  Returns the total number
 /// of violations observed (the binary turns a non-zero total into a failing exit code).
 pub fn run_sanitized_sweep(duration_ms: u64, threads: usize) -> u64 {
     let before = total_violations();
     let structures = [StructureKind::Bst, StructureKind::SkipList, StructureKind::HashMap];
-    let trials = structures.len() * ReclaimerKind::ALL.len();
+    let trials = structures.len() * schemes::IDS.len();
     println!(
         "\n### Sanitized sweep — {trials} trials ({} structures x {} schemes, \
          {threads} threads, {duration_ms} ms each)\n",
         structures.len(),
-        ReclaimerKind::ALL.len(),
+        schemes::IDS.len(),
     );
     let cfg = WorkloadConfig {
         threads,
@@ -60,7 +44,7 @@ pub fn run_sanitized_sweep(duration_ms: u64, threads: usize) -> u64 {
     };
     let mut seed = 1;
     for structure in structures {
-        for reclaimer in ReclaimerKind::ALL {
+        for reclaimer in ReclaimerKind::all() {
             let trial_before = total_violations();
             let row = run_config(structure, reclaimer, &cfg, seed);
             seed += 1;
@@ -68,7 +52,7 @@ pub fn run_sanitized_sweep(duration_ms: u64, threads: usize) -> u64 {
             println!(
                 "  {:<9} {:<14} {:>12} ops, {}",
                 format!("{:?}", row.structure),
-                format!("{:?}", row.reclaimer),
+                row.reclaimer.name(),
                 row.result.operations,
                 if trial_delta == 0 {
                     "clean".to_string()
@@ -80,7 +64,7 @@ pub fn run_sanitized_sweep(duration_ms: u64, threads: usize) -> u64 {
     }
     let delta = total_violations() - before;
     println!("\n### Sanitizer report\n");
-    for kind in KINDS {
+    for kind in ViolationKind::ALL {
         let n = count(kind);
         if n > 0 {
             println!("  {:<26} {n}", kind.name());

@@ -9,9 +9,9 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use debra::{Allocator, DebraPlus, Pool, Reclaimer, RecordManager};
-use smr_hashmap::{HashMapNode, LockFreeHashMap};
-use smr_pagepool::{PageAllocator, PagePool};
+use debra_repro::debra::{Allocator, DebraPlus, Pool, Reclaimer, RecordManager};
+use debra_repro::smr_hashmap::{HashMapNode, LockFreeHashMap};
+use debra_repro::smr_pagepool::{PageAllocator, PagePool};
 use smr_workloads::{run_trial, AllocatorKind, KeyDistribution, OperationMix, WorkloadConfig};
 
 type Node = HashMapNode<u64, u64>;

@@ -1,5 +1,5 @@
 //! The Record Manager abstraction in action: the *same* data structure code runs under
-//! all eight reclamation schemes — only type parameters change (paper, Section 6).
+//! every registered reclamation scheme — only type parameters change (paper, Section 6).
 //!
 //! ```text
 //! cargo run --release --example reclaimer_swap
@@ -8,23 +8,20 @@
 use std::sync::Arc;
 use std::time::Instant;
 
-use debra_repro::debra::{Allocator, Debra, DebraPlus, Pool, Reclaimer, RecordManager};
+use debra_repro::debra::Reclaimer;
+use debra_repro::for_each_scheme;
 use debra_repro::lockfree_ds::{ConcurrentMap, HarrisMichaelList, ListNode};
-use debra_repro::smr_alloc::{SystemAllocator, ThreadPool};
-use debra_repro::smr_baselines::{ClassicEbr, HazardPointers, NoReclaim, ThreadScanLite};
-use debra_repro::smr_ibr::Ibr;
-use debra_repro::smr_pagepool::{PageAllocator, PagePool};
-use debra_repro::smr_vbr::Vbr;
+use debra_repro::schemes::{self, Manager, Scheme};
 
 type Node = ListNode<u64, u64>;
 
-/// The benchmark body is written once, generically over the reclaimer and the
-/// allocation pipeline.  Swapping the memory reclamation scheme is a one-line change
-/// at the call site in `main` — VBR composes with the type-stable page pool
-/// (its registration requirement), everything else with the malloc-backed pool.
-fn run<R: Reclaimer<Node>, P: Pool<Node>, A: Allocator<Node>>(label: &str) {
+/// The benchmark body is written once, generically over the scheme: its reclaimer and
+/// its default allocation pipeline (the type-stable page pool for VBR, which requires
+/// it; the malloc-backed pool for everything else).  `main` runs it for every entry of
+/// the scheme registry, so a scheme added there shows up here with no change.
+fn run<S: Scheme>() {
     let threads = 3;
-    let manager: Arc<RecordManager<Node, R, P, A>> = Arc::new(RecordManager::new(threads));
+    let manager: Arc<Manager<S, Node>> = Arc::new(Manager::<S, Node>::new(threads));
     let list = Arc::new(HarrisMichaelList::new(Arc::clone(&manager)));
 
     let start = Instant::now();
@@ -55,27 +52,22 @@ fn run<R: Reclaimer<Node>, P: Pool<Node>, A: Allocator<Node>>(label: &str) {
     let elapsed = start.elapsed();
     let stats = manager.reclaimer().stats();
     println!(
-        "{label:10} | {:6.1} ms | retired {:>8} | reclaimed {:>8} | still in limbo {:>6}",
+        "{:10} | {:6.1} ms | retired {:>8} | reclaimed {:>8} | still in limbo {:>6}",
+        S::name(),
         elapsed.as_secs_f64() * 1e3,
         stats.retired,
         stats.reclaimed,
-        stats.pending
+        stats.pending,
     );
-}
-
-fn run_malloc<R: Reclaimer<Node>>(label: &str) {
-    run::<R, ThreadPool<Node>, SystemAllocator<Node>>(label);
 }
 
 fn main() {
     println!("scheme     | time      | retired         | reclaimed          | limbo");
-    run_malloc::<NoReclaim<Node>>("None");
-    run_malloc::<ClassicEbr<Node>>("EBR");
-    run_malloc::<HazardPointers<Node>>("HP");
-    run_malloc::<ThreadScanLite<Node>>("ThreadScan");
-    run_malloc::<Ibr<Node>>("IBR");
-    run_malloc::<Debra<Node>>("DEBRA");
-    run_malloc::<DebraPlus<Node>>("DEBRA+");
-    run::<Vbr<Node>, PagePool<Node>, PageAllocator<Node>>("VBR");
-    println!("\nSame list code, eight reclamation schemes — only the type parameters changed.");
+    for id in schemes::IDS {
+        for_each_scheme!(match *id => run());
+    }
+    println!(
+        "\nSame list code, {} reclamation schemes — only the type parameters changed.",
+        schemes::IDS.len()
+    );
 }

@@ -5,18 +5,17 @@
 
 use std::sync::Arc;
 
-use debra_repro::debra::{Debra, DebraPlus, Reclaimer, RecordManager};
+use debra_repro::debra::{DebraPlus, Reclaimer, RecordManager};
+use debra_repro::for_each_scheme;
 use debra_repro::lockfree_ds::{
     BstNode, ConcurrentBag, ConcurrentMap, ExternalBst, HarrisMichaelList, ListNode, SkipList,
     SkipNode,
 };
+use debra_repro::schemes::{ClassicEbr, Debra, Ibr, Manager, Memory, On, PageMemory, Scheme};
 use debra_repro::smr_alloc::{BumpAllocator, SystemAllocator, ThreadPool};
-use debra_repro::smr_baselines::{ClassicEbr, HazardPointers, NoReclaim, ThreadScanLite};
 use debra_repro::smr_hashmap::{HashMapNode, LockFreeHashMap};
-use debra_repro::smr_ibr::Ibr;
-use debra_repro::smr_pagepool::{PageAllocator, PagePool};
+use debra_repro::smr_ibr::Ibr as IbrReclaimer;
 use debra_repro::smr_queue::{MsQueue, QueueNode, StackNode, TreiberStack};
-use debra_repro::smr_vbr::Vbr;
 
 const THREADS: usize = 4;
 const OPS_PER_THREAD: u64 = 4_000;
@@ -72,325 +71,116 @@ where
     check_len(&map, net as usize);
 }
 
-macro_rules! stress_test {
-    ($name:ident, $structure:ident, $node:ident, $reclaimer:ty, $pool:ident, $alloc:ident) => {
-        stress_test!($name, $structure, $node, $reclaimer, $pool, $alloc,
-            expect_reclaim: false, ops: OPS_PER_THREAD);
-    };
-    ($name:ident, $structure:ident, $node:ident, $reclaimer:ty, $pool:ident, $alloc:ident,
-     expect_reclaim: $expect_reclaim:expr) => {
-        stress_test!($name, $structure, $node, $reclaimer, $pool, $alloc,
-            expect_reclaim: $expect_reclaim, ops: OPS_PER_THREAD_RECLAIM);
-    };
-    ($name:ident, $structure:ident, $node:ident, $reclaimer:ty, $pool:ident, $alloc:ident,
-     expect_reclaim: $expect_reclaim:expr, ops: $ops:expr) => {
-        #[test]
-        fn $name() {
-            type Node = $node<u64, u64>;
-            type Map = $structure<u64, u64, $reclaimer, $pool<Node>, $alloc<Node>>;
-            let manager = Arc::new(RecordManager::new(THREADS + 1));
-            let map: Arc<Map> = Arc::new($structure::new(Arc::clone(&manager)));
-            let ops = $ops;
-            stress_n(Arc::clone(&map), ops, |map, expected| {
-                let mut handle = map.register().expect("register checker");
-                assert_eq!(map.len(&mut handle), expected, "final size must match net inserts");
-            });
-            // Reclamation bookkeeping must be consistent: nothing reclaimed that was not
-            // retired first.
-            let stats = manager.reclaimer().stats();
-            assert!(stats.reclaimed <= stats.retired);
-            if $expect_reclaim {
-                assert!(stats.retired > 0, "the workload must retire records");
-                assert!(
-                    stats.reclaimed > 0,
-                    "a reclaiming scheme must actually reclaim during the stress"
-                );
-            }
-        }
-    };
+/// The bump allocator behind per-thread pools: the hand-written `*_bump` rows run one
+/// scheme each on it.
+struct Bump;
+
+impl Memory for Bump {
+    type Pool<T: Send + 'static> = ThreadPool<T>;
+    type Allocator<T: Send + 'static> = BumpAllocator<T>;
 }
 
-// --- the BST (the paper's primary workload) under every scheme -------------------------
-// Every reclaiming scheme must show a non-zero reclaimed count at the end of the stress
-// (the safe-API acceptance matrix of the Domain/Guard/ShieldSet port), not just
-// consistent bookkeeping; `None` by definition never reclaims.
-stress_test!(bst_none, ExternalBst, BstNode, NoReclaim<Node>, ThreadPool, SystemAllocator);
-stress_test!(
-    bst_debra,
-    ExternalBst,
-    BstNode,
-    Debra<Node>,
-    ThreadPool,
-    SystemAllocator,
-    expect_reclaim: true
-);
-stress_test!(
-    bst_debra_plus,
-    ExternalBst,
-    BstNode,
-    DebraPlus<Node>,
-    ThreadPool,
-    SystemAllocator,
-    expect_reclaim: true
-);
-stress_test!(
-    bst_hazard_pointers,
-    ExternalBst,
-    BstNode,
-    HazardPointers<Node>,
-    ThreadPool,
-    SystemAllocator,
-    expect_reclaim: true
-);
-stress_test!(
-    bst_classic_ebr,
-    ExternalBst,
-    BstNode,
-    ClassicEbr<Node>,
-    ThreadPool,
-    SystemAllocator,
-    expect_reclaim: true
-);
-stress_test!(
-    bst_threadscan,
-    ExternalBst,
-    BstNode,
-    ThreadScanLite<Node>,
-    ThreadPool,
-    SystemAllocator,
-    expect_reclaim: true
-);
-stress_test!(
-    bst_ibr,
-    ExternalBst,
-    BstNode,
-    Ibr<Node>,
-    ThreadPool,
-    SystemAllocator,
-    expect_reclaim: true
-);
-stress_test!(bst_debra_bump, ExternalBst, BstNode, Debra<Node>, ThreadPool, BumpAllocator);
-stress_test!(bst_ibr_bump, ExternalBst, BstNode, Ibr<Node>, ThreadPool, BumpAllocator);
-// VBR runs only over the type-stable page pool (registration panics elsewhere), and like
-// every reclaiming scheme it must show records flowing all the way back.
-stress_test!(
-    bst_vbr_pagepool,
-    ExternalBst,
-    BstNode,
-    Vbr<Node>,
-    PagePool,
-    PageAllocator,
-    expect_reclaim: true
-);
+/// Checks the reclaimer's bookkeeping after a stress: nothing reclaimed that was not
+/// retired first, and — for every scheme that reclaims at all (`None` by definition
+/// never does) — records retired and actually reclaimed during the run, not just
+/// parked in limbo.
+fn check_reclaimed<S: Scheme, T: Send + 'static>(manager: &Manager<S, T>) {
+    let stats = manager.reclaimer().stats();
+    assert!(stats.reclaimed <= stats.retired);
+    if S::reclaims() {
+        assert!(stats.retired > 0, "the workload must retire records");
+        assert!(stats.reclaimed > 0, "a reclaiming scheme must actually reclaim during the stress");
+    }
+}
 
-// --- the Harris-Michael list under every scheme -----------------------------------------
-stress_test!(list_none, HarrisMichaelList, ListNode, NoReclaim<Node>, ThreadPool, SystemAllocator);
-stress_test!(list_debra, HarrisMichaelList, ListNode, Debra<Node>, ThreadPool, SystemAllocator);
-stress_test!(
-    list_debra_plus,
-    HarrisMichaelList,
-    ListNode,
-    DebraPlus<Node>,
-    ThreadPool,
-    SystemAllocator
-);
-stress_test!(
-    list_hazard_pointers,
-    HarrisMichaelList,
-    ListNode,
-    HazardPointers<Node>,
-    ThreadPool,
-    SystemAllocator
-);
-stress_test!(
-    list_classic_ebr,
-    HarrisMichaelList,
-    ListNode,
-    ClassicEbr<Node>,
-    ThreadPool,
-    SystemAllocator
-);
-stress_test!(list_ibr, HarrisMichaelList, ListNode, Ibr<Node>, ThreadPool, SystemAllocator);
+/// A row's operation budget: `reclaim_ops` for a scheme that reclaims, enough for
+/// [`check_reclaimed`] to observe it; [`OPS_PER_THREAD`] for one that never does, whose
+/// row asserts nothing about reclamation.
+fn ops_for<S: Scheme>(reclaim_ops: u64) -> u64 {
+    if S::reclaims() {
+        reclaim_ops
+    } else {
+        OPS_PER_THREAD
+    }
+}
 
-stress_test!(
-    list_threadscan,
-    HarrisMichaelList,
-    ListNode,
-    ThreadScanLite<Node>,
-    ThreadPool,
-    SystemAllocator
-);
-stress_test!(
-    list_vbr_pagepool,
-    HarrisMichaelList,
-    ListNode,
-    Vbr<Node>,
-    PagePool,
-    PageAllocator,
-    expect_reclaim: true
-);
+/// One map row: the structure `make` builds over a Record Manager of scheme `S`, run
+/// through [`stress_n`] with the net-inserts == final-size check (`len` traverses the
+/// whole structure), then [`check_reclaimed`].
+fn map_row<S: Scheme, T: Send + 'static, M>(
+    make: fn(Arc<Manager<S, T>>) -> M,
+    len: fn(&M, &mut M::Handle) -> usize,
+    reclaim_ops: u64,
+) where
+    M: ConcurrentMap<u64, u64> + 'static,
+{
+    let manager = Arc::new(Manager::<S, T>::new(THREADS + 1));
+    let map = Arc::new(make(Arc::clone(&manager)));
+    stress_n(map, ops_for::<S>(reclaim_ops), |map, expected| {
+        let mut handle = map.register().expect("register checker");
+        assert_eq!(len(map, &mut handle), expected, "final size must match net inserts");
+    });
+    check_reclaimed::<S, T>(&manager);
+}
 
-// --- the hash map under every scheme (the acceptance matrix of the hashmap PR) ----------
-// Every reclaiming scheme must have a non-zero reclaimed count at the end of the stress,
-// not just consistent bookkeeping.
-stress_test!(
-    hashmap_none,
-    LockFreeHashMap,
-    HashMapNode,
-    NoReclaim<Node>,
-    ThreadPool,
-    SystemAllocator
-);
-stress_test!(
-    hashmap_debra,
-    LockFreeHashMap,
-    HashMapNode,
-    Debra<Node>,
-    ThreadPool,
-    SystemAllocator,
-    expect_reclaim: true
-);
-stress_test!(
-    hashmap_debra_plus,
-    LockFreeHashMap,
-    HashMapNode,
-    DebraPlus<Node>,
-    ThreadPool,
-    SystemAllocator,
-    expect_reclaim: true
-);
-stress_test!(
-    hashmap_hazard_pointers,
-    LockFreeHashMap,
-    HashMapNode,
-    HazardPointers<Node>,
-    ThreadPool,
-    SystemAllocator,
-    expect_reclaim: true
-);
-stress_test!(
-    hashmap_classic_ebr,
-    LockFreeHashMap,
-    HashMapNode,
-    ClassicEbr<Node>,
-    ThreadPool,
-    SystemAllocator,
-    expect_reclaim: true
-);
-stress_test!(
-    hashmap_threadscan,
-    LockFreeHashMap,
-    HashMapNode,
-    ThreadScanLite<Node>,
-    ThreadPool,
-    SystemAllocator,
-    expect_reclaim: true
-);
-stress_test!(
-    hashmap_ibr,
-    LockFreeHashMap,
-    HashMapNode,
-    Ibr<Node>,
-    ThreadPool,
-    SystemAllocator,
-    expect_reclaim: true
-);
-stress_test!(
-    hashmap_debra_bump,
-    LockFreeHashMap,
-    HashMapNode,
-    Debra<Node>,
-    ThreadPool,
-    BumpAllocator,
-    expect_reclaim: true
-);
-stress_test!(
-    hashmap_vbr_pagepool,
-    LockFreeHashMap,
-    HashMapNode,
-    Vbr<Node>,
-    PagePool,
-    PageAllocator,
-    expect_reclaim: true
-);
+// --- the map structures under every scheme ---------------------------------------------
+// The BST is the paper's primary workload.  The skip list's matrix covers the per-access
+// protection schemes (HP, ThreadScan) too: the insert pre-announces its private node and
+// pins the target level's predecessor (`ShieldSet` roles `NODE` / `TPRED`), which is what
+// makes the post-publication completion phase safe there.  VBR runs on its default
+// memory, the type-stable page pool (registration panics elsewhere).
 
-// --- the skip list under every scheme ---------------------------------------------------
-// The safe-API port extended the skip list's matrix to the per-access protection schemes
-// (HP, ThreadScan) that the raw implementation never ran under: the insert pre-announces
-// its private node and pins the target level's predecessor (`ShieldSet` roles `NODE` /
-// `TPRED`), which is what makes the post-publication completion phase safe there.
-stress_test!(skiplist_none, SkipList, SkipNode, NoReclaim<Node>, ThreadPool, SystemAllocator);
-stress_test!(
-    skiplist_debra,
-    SkipList,
-    SkipNode,
-    Debra<Node>,
-    ThreadPool,
-    SystemAllocator,
-    expect_reclaim: true,
-    ops: OPS_PER_THREAD_RECLAIM_SKIPLIST
-);
-stress_test!(
-    skiplist_debra_plus,
-    SkipList,
-    SkipNode,
-    DebraPlus<Node>,
-    ThreadPool,
-    SystemAllocator,
-    expect_reclaim: true,
-    ops: OPS_PER_THREAD_RECLAIM_SKIPLIST
-);
-stress_test!(
-    skiplist_hazard_pointers,
-    SkipList,
-    SkipNode,
-    HazardPointers<Node>,
-    ThreadPool,
-    SystemAllocator,
-    expect_reclaim: true,
-    ops: OPS_PER_THREAD_RECLAIM_SKIPLIST
-);
-stress_test!(
-    skiplist_classic_ebr,
-    SkipList,
-    SkipNode,
-    ClassicEbr<Node>,
-    ThreadPool,
-    SystemAllocator,
-    expect_reclaim: true,
-    ops: OPS_PER_THREAD_RECLAIM_SKIPLIST
-);
-stress_test!(
-    skiplist_threadscan,
-    SkipList,
-    SkipNode,
-    ThreadScanLite<Node>,
-    ThreadPool,
-    SystemAllocator,
-    expect_reclaim: true,
-    ops: OPS_PER_THREAD_RECLAIM_SKIPLIST
-);
-stress_test!(
-    skiplist_ibr,
-    SkipList,
-    SkipNode,
-    Ibr<Node>,
-    ThreadPool,
-    SystemAllocator,
-    expect_reclaim: true,
-    ops: OPS_PER_THREAD_RECLAIM_SKIPLIST
-);
-stress_test!(skiplist_ebr_bump, SkipList, SkipNode, ClassicEbr<Node>, ThreadPool, BumpAllocator);
-stress_test!(
-    skiplist_vbr_pagepool,
-    SkipList,
-    SkipNode,
-    Vbr<Node>,
-    PagePool,
-    PageAllocator,
-    expect_reclaim: true,
-    ops: OPS_PER_THREAD_RECLAIM_SKIPLIST
-);
+fn bst<S: Scheme>() {
+    map_row::<S, BstNode<u64, u64>, _>(ExternalBst::new, ExternalBst::len, OPS_PER_THREAD_RECLAIM);
+}
+for_each_scheme!(tests bst_*: bst);
+
+fn list<S: Scheme>() {
+    map_row::<S, ListNode<u64, u64>, _>(
+        HarrisMichaelList::new,
+        HarrisMichaelList::len,
+        OPS_PER_THREAD_RECLAIM,
+    );
+}
+for_each_scheme!(tests list_*: list);
+
+fn hashmap<S: Scheme>() {
+    map_row::<S, HashMapNode<u64, u64>, _>(
+        LockFreeHashMap::new,
+        LockFreeHashMap::len,
+        OPS_PER_THREAD_RECLAIM,
+    );
+}
+for_each_scheme!(tests hashmap_*: hashmap);
+
+fn skiplist<S: Scheme>() {
+    map_row::<S, SkipNode<u64, u64>, _>(
+        SkipList::new,
+        SkipList::len,
+        OPS_PER_THREAD_RECLAIM_SKIPLIST,
+    );
+}
+for_each_scheme!(tests skiplist_*: skiplist);
+
+#[test]
+fn bst_debra_bump() {
+    bst::<On<Debra, Bump>>();
+}
+
+#[test]
+fn bst_ibr_bump() {
+    bst::<On<Ibr, Bump>>();
+}
+
+#[test]
+fn hashmap_debra_bump() {
+    hashmap::<On<Debra, Bump>>();
+}
+
+#[test]
+fn skiplist_ebr_bump() {
+    skiplist::<On<ClassicEbr, Bump>>();
+}
 
 /// The 8-thread hash-map acceptance row: oversubscribed (the container has fewer cores),
 /// under DEBRA+ so the neutralization machinery is exercised while bucket chains churn.
@@ -521,112 +311,54 @@ where
     }
 }
 
-macro_rules! bag_stress_test {
-    ($name:ident, $structure:ident, $node:ident, $reclaimer:ty, $pool:ident, $alloc:ident,
-     fifo: $fifo:expr) => {
-        bag_stress_test!($name, $structure, $node, $reclaimer, $pool, $alloc,
-            fifo: $fifo, expect_reclaim: false, ops: OPS_PER_THREAD);
-    };
-    ($name:ident, $structure:ident, $node:ident, $reclaimer:ty, $pool:ident, $alloc:ident,
-     fifo: $fifo:expr, expect_reclaim: $expect_reclaim:expr) => {
-        bag_stress_test!($name, $structure, $node, $reclaimer, $pool, $alloc,
-            fifo: $fifo, expect_reclaim: $expect_reclaim, ops: OPS_PER_THREAD_RECLAIM);
-    };
-    ($name:ident, $structure:ident, $node:ident, $reclaimer:ty, $pool:ident, $alloc:ident,
-     fifo: $fifo:expr, expect_reclaim: $expect_reclaim:expr, ops: $ops:expr) => {
-        #[test]
-        fn $name() {
-            type Node = $node<u64>;
-            type Bag = $structure<u64, $reclaimer, $pool<Node>, $alloc<Node>>;
-            let manager = Arc::new(RecordManager::new(THREADS + 1));
-            let bag: Arc<Bag> = Arc::new($structure::new(Arc::clone(&manager)));
-            bag_stress_n(Arc::clone(&bag), $ops, $fifo);
-            let stats = manager.reclaimer().stats();
-            assert!(stats.reclaimed <= stats.retired);
-            if $expect_reclaim {
-                assert!(stats.retired > 0, "pops must retire records");
-                assert!(
-                    stats.reclaimed > 0,
-                    "a reclaiming scheme must actually reclaim during the stress"
-                );
-            }
-        }
-    };
+/// One bag row: the structure `make` builds over a Record Manager of scheme `S`, run
+/// through [`bag_stress_n`], then [`check_reclaimed`].
+fn bag_row<S: Scheme, T: Send + 'static, B>(make: fn(Arc<Manager<S, T>>) -> B, fifo: bool)
+where
+    B: ConcurrentBag<u64> + 'static,
+{
+    let manager = Arc::new(Manager::<S, T>::new(THREADS + 1));
+    let ops = ops_for::<S>(OPS_PER_THREAD_RECLAIM);
+    bag_stress_n(Arc::new(make(Arc::clone(&manager))), ops, fifo);
+    check_reclaimed::<S, T>(&manager);
 }
 
-bag_stress_test!(queue_none, MsQueue, QueueNode, NoReclaim<Node>, ThreadPool, SystemAllocator,
-    fifo: true);
-bag_stress_test!(queue_debra, MsQueue, QueueNode, Debra<Node>, ThreadPool, SystemAllocator,
-    fifo: true, expect_reclaim: true);
-bag_stress_test!(queue_debra_plus, MsQueue, QueueNode, DebraPlus<Node>, ThreadPool,
-    SystemAllocator, fifo: true, expect_reclaim: true);
-bag_stress_test!(queue_hazard_pointers, MsQueue, QueueNode, HazardPointers<Node>, ThreadPool,
-    SystemAllocator, fifo: true, expect_reclaim: true);
-bag_stress_test!(queue_classic_ebr, MsQueue, QueueNode, ClassicEbr<Node>, ThreadPool,
-    SystemAllocator, fifo: true, expect_reclaim: true);
-bag_stress_test!(queue_threadscan, MsQueue, QueueNode, ThreadScanLite<Node>, ThreadPool,
-    SystemAllocator, fifo: true, expect_reclaim: true);
-bag_stress_test!(queue_ibr, MsQueue, QueueNode, Ibr<Node>, ThreadPool, SystemAllocator,
-    fifo: true, expect_reclaim: true);
-bag_stress_test!(queue_debra_bump, MsQueue, QueueNode, Debra<Node>, ThreadPool, BumpAllocator,
-    fifo: true, expect_reclaim: true);
+fn queue<S: Scheme>() {
+    bag_row::<S, QueueNode<u64>, _>(MsQueue::new, true);
+}
+for_each_scheme!(tests queue_*: queue);
 
-// --- the queue under every scheme on the page-pool allocation pipeline -----------------
+fn stack<S: Scheme>() {
+    bag_row::<S, StackNode<u64>, _>(TreiberStack::new, false);
+}
+for_each_scheme!(tests stack_*: stack);
+
+// --- the queue and the stack on the page-pool allocation pipeline ----------------------
 // Same workload and invariants as the rows above, but composed with `smr-pagepool`
-// (type-stable pages + per-thread magazines + global overflow) instead of malloc: the
-// retire → pool → magazine → reuse cycle runs at full stress concurrency, and every
-// reclaiming scheme must still show `reclaimed > 0` — records flow all the way back.
-bag_stress_test!(queue_none_pagepool, MsQueue, QueueNode, NoReclaim<Node>, PagePool,
-    PageAllocator, fifo: true);
-bag_stress_test!(queue_debra_pagepool, MsQueue, QueueNode, Debra<Node>, PagePool,
-    PageAllocator, fifo: true, expect_reclaim: true);
-bag_stress_test!(queue_debra_plus_pagepool, MsQueue, QueueNode, DebraPlus<Node>, PagePool,
-    PageAllocator, fifo: true, expect_reclaim: true);
-bag_stress_test!(queue_hazard_pointers_pagepool, MsQueue, QueueNode, HazardPointers<Node>,
-    PagePool, PageAllocator, fifo: true, expect_reclaim: true);
-bag_stress_test!(queue_classic_ebr_pagepool, MsQueue, QueueNode, ClassicEbr<Node>, PagePool,
-    PageAllocator, fifo: true, expect_reclaim: true);
-bag_stress_test!(queue_threadscan_pagepool, MsQueue, QueueNode, ThreadScanLite<Node>, PagePool,
-    PageAllocator, fifo: true, expect_reclaim: true);
-bag_stress_test!(queue_ibr_pagepool, MsQueue, QueueNode, Ibr<Node>, PagePool, PageAllocator,
-    fifo: true, expect_reclaim: true);
-bag_stress_test!(queue_vbr_pagepool, MsQueue, QueueNode, Vbr<Node>, PagePool, PageAllocator,
-    fifo: true, expect_reclaim: true);
+// (type-stable pages + per-thread magazines + global overflow) instead of each scheme's
+// default memory: the retire → pool → magazine → reuse cycle runs at full stress
+// concurrency, and every reclaiming scheme must still show `reclaimed > 0` — records
+// flow all the way back.
 
-bag_stress_test!(stack_none, TreiberStack, StackNode, NoReclaim<Node>, ThreadPool,
-    SystemAllocator, fifo: false);
-bag_stress_test!(stack_debra, TreiberStack, StackNode, Debra<Node>, ThreadPool,
-    SystemAllocator, fifo: false, expect_reclaim: true);
-bag_stress_test!(stack_debra_plus, TreiberStack, StackNode, DebraPlus<Node>, ThreadPool,
-    SystemAllocator, fifo: false, expect_reclaim: true);
-bag_stress_test!(stack_hazard_pointers, TreiberStack, StackNode, HazardPointers<Node>,
-    ThreadPool, SystemAllocator, fifo: false, expect_reclaim: true);
-bag_stress_test!(stack_classic_ebr, TreiberStack, StackNode, ClassicEbr<Node>, ThreadPool,
-    SystemAllocator, fifo: false, expect_reclaim: true);
-bag_stress_test!(stack_threadscan, TreiberStack, StackNode, ThreadScanLite<Node>, ThreadPool,
-    SystemAllocator, fifo: false, expect_reclaim: true);
-bag_stress_test!(stack_ibr, TreiberStack, StackNode, Ibr<Node>, ThreadPool, SystemAllocator,
-    fifo: false, expect_reclaim: true);
-bag_stress_test!(stack_ebr_bump, TreiberStack, StackNode, ClassicEbr<Node>, ThreadPool,
-    BumpAllocator, fifo: false, expect_reclaim: true);
+fn queue_pagepool<S: Scheme>() {
+    queue::<On<S, PageMemory>>();
+}
+for_each_scheme!(tests queue_*_pagepool: queue_pagepool);
 
-// --- the stack under every scheme on the page-pool allocation pipeline -----------------
-bag_stress_test!(stack_none_pagepool, TreiberStack, StackNode, NoReclaim<Node>, PagePool,
-    PageAllocator, fifo: false);
-bag_stress_test!(stack_debra_pagepool, TreiberStack, StackNode, Debra<Node>, PagePool,
-    PageAllocator, fifo: false, expect_reclaim: true);
-bag_stress_test!(stack_debra_plus_pagepool, TreiberStack, StackNode, DebraPlus<Node>, PagePool,
-    PageAllocator, fifo: false, expect_reclaim: true);
-bag_stress_test!(stack_hazard_pointers_pagepool, TreiberStack, StackNode, HazardPointers<Node>,
-    PagePool, PageAllocator, fifo: false, expect_reclaim: true);
-bag_stress_test!(stack_classic_ebr_pagepool, TreiberStack, StackNode, ClassicEbr<Node>, PagePool,
-    PageAllocator, fifo: false, expect_reclaim: true);
-bag_stress_test!(stack_threadscan_pagepool, TreiberStack, StackNode, ThreadScanLite<Node>,
-    PagePool, PageAllocator, fifo: false, expect_reclaim: true);
-bag_stress_test!(stack_ibr_pagepool, TreiberStack, StackNode, Ibr<Node>, PagePool,
-    PageAllocator, fifo: false, expect_reclaim: true);
-bag_stress_test!(stack_vbr_pagepool, TreiberStack, StackNode, Vbr<Node>, PagePool,
-    PageAllocator, fifo: false, expect_reclaim: true);
+fn stack_pagepool<S: Scheme>() {
+    stack::<On<S, PageMemory>>();
+}
+for_each_scheme!(tests stack_*_pagepool: stack_pagepool);
+
+#[test]
+fn queue_debra_bump() {
+    queue::<On<Debra, Bump>>();
+}
+
+#[test]
+fn stack_ebr_bump() {
+    stack::<On<ClassicEbr, Bump>>();
+}
 
 /// The 8-thread queue acceptance row: oversubscribed (the container has fewer cores),
 /// under DEBRA+ so neutralizations fire while the head churns at full drain rate.
@@ -788,7 +520,7 @@ fn queue_debra_plus_neutralization_mid_dequeue_recovers() {
 fn bst_ibr_8_threads() {
     const WIDE: usize = 8;
     type Node = BstNode<u64, u64>;
-    type Map = ExternalBst<u64, u64, Ibr<Node>, ThreadPool<Node>, SystemAllocator<Node>>;
+    type Map = ExternalBst<u64, u64, IbrReclaimer<Node>, ThreadPool<Node>, SystemAllocator<Node>>;
     let manager = Arc::new(RecordManager::new(WIDE + 1));
     let map: Arc<Map> = Arc::new(ExternalBst::new(Arc::clone(&manager)));
 

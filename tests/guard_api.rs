@@ -6,96 +6,76 @@ use std::ptr::NonNull;
 use std::sync::Arc;
 
 use debra_repro::debra::{
-    Allocator, Atomic, CountingSink, Debra, DebraPlus, Domain, Headed, Pool, Reclaimer,
-    ReclaimerThread, RecordManager, RegistrationError, Restart,
+    Atomic, CountingSink, Debra, DebraPlus, Domain, Headed, Reclaimer, ReclaimerThread,
+    RegistrationError, Restart,
 };
+use debra_repro::for_each_scheme;
 use debra_repro::lockfree_ds::{ConcurrentMap, HarrisMichaelList, ListNode, SkipList, SkipNode};
+use debra_repro::schemes::{self, Manager, Scheme, SchemeDomain};
 use debra_repro::smr_alloc::{SystemAllocator, ThreadPool};
-use debra_repro::smr_baselines::{ClassicEbr, HazardPointers, NoReclaim, ThreadScanLite};
-use debra_repro::smr_ibr::Ibr;
-use debra_repro::smr_pagepool::{PageAllocator, PagePool};
-use debra_repro::smr_vbr::Vbr;
+use debra_repro::smr_baselines::HazardPointers;
 
 /// Satellite regression: a thread slot must be reusable after its handle is dropped —
 /// `register(tid)` must not error forever once a slot was used.  Checked for every scheme
 /// at the Record Manager level (register → drop → re-register, thrice for good measure).
-macro_rules! slot_reuse_after_drop {
-    ($name:ident, $recl:ty) => {
-        slot_reuse_after_drop!($name, $recl, ThreadPool<u64>, SystemAllocator<u64>);
-    };
-    ($name:ident, $recl:ty, $pool:ty, $alloc:ty) => {
-        #[test]
-        fn $name() {
-            let manager: Arc<RecordManager<u64, $recl, $pool, $alloc>> =
-                Arc::new(RecordManager::new(2));
-            for _ in 0..3 {
-                let t0 = manager.register(0).expect("slot 0 must be registerable");
-                assert!(matches!(
-                    manager.register(0),
-                    Err(RegistrationError::AlreadyRegistered { tid: 0 })
-                ));
-                // Auto-registration skips the taken slot and leases the next one.
-                let t1 = manager.register_auto().expect("a free slot remains");
-                assert_eq!(t1.tid(), 1);
-                assert!(matches!(
-                    manager.register_auto(),
-                    Err(RegistrationError::Exhausted { max_threads: 2 })
-                ));
-                drop(t0);
-                drop(t1);
-            }
-            // After the final drops every slot is free again.
-            assert_eq!(manager.register_auto().expect("slot recycled").tid(), 0);
-        }
-    };
+fn slot_reuse<S: Scheme>() {
+    let manager: Arc<Manager<S, u64>> = Arc::new(Manager::<S, u64>::new(2));
+    for _ in 0..3 {
+        let t0 = manager.register(0).expect("slot 0 must be registerable");
+        assert!(matches!(
+            manager.register(0),
+            Err(RegistrationError::AlreadyRegistered { tid: 0 })
+        ));
+        // Auto-registration skips the taken slot and leases the next one.
+        let t1 = manager.register_auto().expect("a free slot remains");
+        assert_eq!(t1.tid(), 1);
+        assert!(matches!(
+            manager.register_auto(),
+            Err(RegistrationError::Exhausted { max_threads: 2 })
+        ));
+        drop(t0);
+        drop(t1);
+    }
+    // After the final drops every slot is free again.
+    assert_eq!(manager.register_auto().expect("slot recycled").tid(), 0);
 }
-
-slot_reuse_after_drop!(slot_reuse_none, NoReclaim<u64>);
-slot_reuse_after_drop!(slot_reuse_debra, Debra<u64>);
-slot_reuse_after_drop!(slot_reuse_debra_plus, DebraPlus<u64>);
-slot_reuse_after_drop!(slot_reuse_hazard_pointers, HazardPointers<u64>);
-slot_reuse_after_drop!(slot_reuse_classic_ebr, ClassicEbr<u64>);
-slot_reuse_after_drop!(slot_reuse_threadscan, ThreadScanLite<u64>);
-slot_reuse_after_drop!(slot_reuse_ibr, Ibr<u64>);
-slot_reuse_after_drop!(slot_reuse_vbr, Vbr<u64>, PagePool<u64>, PageAllocator<u64>);
+for_each_scheme!(tests slot_reuse_*: slot_reuse);
 
 /// The thread-exit contract of every scheme that reclaims: a handle dropped in the middle
 /// of an operation hands the records still in its limbo to the orphan list (so
 /// `drain_orphans` returns every one the sink did not take) and zeroes its share of the
-/// `pending` gauge.
-macro_rules! exit_orphans_limbo {
-    ($name:ident, $recl:ty) => {
-        #[test]
-        fn $name() {
-            let r: Arc<$recl> = Arc::new(<$recl as Reclaimer<u64>>::new(1));
-            let mut sink = CountingSink::default();
-            let mut t = <$recl as Reclaimer<u64>>::register(&r, 0).expect("slot 0 is free");
-            let _ = t.leave_qstate(&mut sink);
-            for i in 0..5u64 {
-                let record = Headed::boxed(i);
-                t.record_allocated(record);
-                // SAFETY: a fresh record, retired once, from inside the operation.
-                unsafe { t.retire(record, &mut sink) };
-            }
-            drop(t);
-            let orphans = <$recl as Reclaimer<u64>>::drain_orphans(&r);
-            assert_eq!(orphans.len() + sink.accepted, 5, "every retired record is accounted for");
-            assert_eq!(r.stats().pending, 0, "the exited thread's limbo gauge reads zero");
-            for record in orphans {
-                // SAFETY: allocated by `Headed::boxed` above and drained exactly once.
-                unsafe { Headed::drop_boxed(record) };
-            }
-        }
-    };
+/// `pending` gauge.  A scheme that never reclaims (None) hands nothing back and keeps
+/// the abandoned records in its gauge.
+fn exit_orphans<S: Scheme>() {
+    let r = Arc::new(S::Reclaimer::<u64>::new(1));
+    let mut sink = CountingSink::default();
+    let mut t = S::Reclaimer::register(&r, 0).expect("slot 0 is free");
+    let _ = t.leave_qstate(&mut sink);
+    let mut records = Vec::new();
+    for i in 0..5u64 {
+        let record = Headed::boxed(i);
+        t.record_allocated(record);
+        // SAFETY: a fresh record, retired once, from inside the operation.
+        unsafe { t.retire(record, &mut sink) };
+        records.push(record);
+    }
+    drop(t);
+    let mut orphans = r.drain_orphans();
+    if S::reclaims() {
+        assert_eq!(orphans.len() + sink.accepted, 5, "every retired record is accounted for");
+        assert_eq!(r.stats().pending, 0, "the exited thread's limbo gauge reads zero");
+    } else {
+        assert_eq!(orphans.len() + sink.accepted, 0, "{} hands nothing back", S::name());
+        assert_eq!(r.stats().pending, 5, "the abandoned records stay in the limbo gauge");
+        // Nothing references the abandoned records any more.
+        orphans = records;
+    }
+    for record in orphans {
+        // SAFETY: allocated by `Headed::boxed` above and freed exactly once.
+        unsafe { Headed::drop_boxed(record) };
+    }
 }
-
-exit_orphans_limbo!(exit_orphans_debra, Debra<u64>);
-exit_orphans_limbo!(exit_orphans_debra_plus, DebraPlus<u64>);
-exit_orphans_limbo!(exit_orphans_hazard_pointers, HazardPointers<u64>);
-exit_orphans_limbo!(exit_orphans_classic_ebr, ClassicEbr<u64>);
-exit_orphans_limbo!(exit_orphans_threadscan, ThreadScanLite<u64>);
-exit_orphans_limbo!(exit_orphans_ibr, Ibr<u64>);
-exit_orphans_limbo!(exit_orphans_vbr, Vbr<u64>);
+for_each_scheme!(tests exit_orphans_*: exit_orphans);
 
 type DebraDomain = Domain<u64, Debra<u64>, ThreadPool<u64>, SystemAllocator<u64>>;
 
@@ -197,62 +177,48 @@ const KEY_RANGE: u64 = 64;
 /// The cross-scheme smoke test of the acceptance criteria: the list driven through only
 /// the safe API (automatic slot leasing, guard-pinned operations) under every scheme,
 /// with the usual net-inserts == final-size consistency check.
-macro_rules! safe_list_under {
-    ($name:ident, $recl:ty) => {
-        #[test]
-        fn $name() {
-            type Node = ListNode<u64, u64>;
-            type List = HarrisMichaelList<u64, u64, $recl, ThreadPool<Node>, SystemAllocator<Node>>;
-            let domain: Domain<Node, $recl, ThreadPool<Node>, SystemAllocator<Node>> =
-                Domain::new(THREADS + 1);
-            let list: Arc<List> = Arc::new(HarrisMichaelList::in_domain(domain));
-            let mut joins = Vec::new();
-            for tid in 0..THREADS {
-                let list = Arc::clone(&list);
-                joins.push(std::thread::spawn(move || {
-                    // No tid bookkeeping: the domain leases a slot for this thread.
-                    let mut handle = list.domain().try_handle().expect("lease worker slot");
-                    let mut net: i64 = 0;
-                    let mut x: u64 = 0x9E3779B97F4A7C15 ^ ((tid as u64) << 21);
-                    for _ in 0..OPS_PER_THREAD {
-                        x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-                        let key = (x >> 33) % KEY_RANGE;
-                        match (x >> 61) % 4 {
-                            0 | 1 => {
-                                if list.insert(&mut handle, key, key) {
-                                    net += 1;
-                                }
-                            }
-                            2 => {
-                                if list.remove(&mut handle, &key) {
-                                    net -= 1;
-                                }
-                            }
-                            _ => {
-                                let _ = list.get(&mut handle, &key);
-                            }
+fn safe_list<S: Scheme>() {
+    type Node = ListNode<u64, u64>;
+    let domain: SchemeDomain<S, Node> = Domain::new(THREADS + 1);
+    let list = Arc::new(HarrisMichaelList::in_domain(domain));
+    let mut joins = Vec::new();
+    for tid in 0..THREADS {
+        let list = Arc::clone(&list);
+        joins.push(std::thread::spawn(move || {
+            // No tid bookkeeping: the domain leases a slot for this thread.
+            let mut handle = list.domain().try_handle().expect("lease worker slot");
+            let mut net: i64 = 0;
+            let mut x: u64 = 0x9E3779B97F4A7C15 ^ ((tid as u64) << 21);
+            for _ in 0..OPS_PER_THREAD {
+                x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+                let key = (x >> 33) % KEY_RANGE;
+                match (x >> 61) % 4 {
+                    0 | 1 => {
+                        if list.insert(&mut handle, key, key) {
+                            net += 1;
                         }
                     }
-                    net
-                }));
+                    2 => {
+                        if list.remove(&mut handle, &key) {
+                            net -= 1;
+                        }
+                    }
+                    _ => {
+                        let _ = list.get(&mut handle, &key);
+                    }
+                }
             }
-            let net: i64 = joins.into_iter().map(|j| j.join().unwrap()).sum();
-            assert!(net >= 0);
-            let mut handle = list.domain().try_handle().expect("lease checker slot");
-            assert_eq!(list.len(&mut handle), net as usize, "final size must match net inserts");
-            let stats = list.manager().reclaimer().stats();
-            assert!(stats.reclaimed <= stats.retired);
-        }
-    };
+            net
+        }));
+    }
+    let net: i64 = joins.into_iter().map(|j| j.join().unwrap()).sum();
+    assert!(net >= 0);
+    let mut handle = list.domain().try_handle().expect("lease checker slot");
+    assert_eq!(list.len(&mut handle), net as usize, "final size must match net inserts");
+    let stats = list.manager().reclaimer().stats();
+    assert!(stats.reclaimed <= stats.retired);
 }
-
-safe_list_under!(safe_list_none, NoReclaim<ListNode<u64, u64>>);
-safe_list_under!(safe_list_debra, Debra<ListNode<u64, u64>>);
-safe_list_under!(safe_list_debra_plus, DebraPlus<ListNode<u64, u64>>);
-safe_list_under!(safe_list_hazard_pointers, HazardPointers<ListNode<u64, u64>>);
-safe_list_under!(safe_list_classic_ebr, ClassicEbr<ListNode<u64, u64>>);
-safe_list_under!(safe_list_threadscan, ThreadScanLite<ListNode<u64, u64>>);
-safe_list_under!(safe_list_ibr, Ibr<ListNode<u64, u64>>);
+for_each_scheme!(tests safe_list_*: safe_list);
 
 type HpDomain = Domain<u64, HazardPointers<u64>, ThreadPool<u64>, SystemAllocator<u64>>;
 type DebraPlusDomain = Domain<u64, DebraPlus<u64>, ThreadPool<u64>, SystemAllocator<u64>>;
@@ -499,29 +465,21 @@ fn recovery_scope_survives_restart_and_releases_on_drop() {
 /// every IBR-validated traversal through it.
 #[test]
 fn helping_policy_matches_the_scheme_taxonomy() {
-    fn helping_on<R: Reclaimer<u64>, P: Pool<u64>, A: Allocator<u64>>() -> bool {
-        let domain: Domain<u64, R, P, A> = Domain::new(1);
+    fn helping<S: Scheme>() -> (&'static str, bool) {
+        let domain: SchemeDomain<S, u64> = Domain::new(1);
         let guard = domain.pin();
-        guard.helping_allowed()
+        (S::name(), guard.helping_allowed())
     }
-    fn helping<R: Reclaimer<u64>>() -> bool {
-        helping_on::<R, ThreadPool<u64>, SystemAllocator<u64>>()
+    for id in schemes::IDS {
+        let (name, helps) = for_each_scheme!(match *id => helping());
+        let epoch_style = matches!(name, "None" | "DEBRA" | "DEBRA+" | "EBR");
+        assert_eq!(
+            helps,
+            epoch_style,
+            "{name} must {}help: only epoch-style pins cover a link the helper never read",
+            if epoch_style { "" } else { "not " }
+        );
     }
-    assert!(helping::<NoReclaim<u64>>());
-    assert!(helping::<Debra<u64>>());
-    assert!(helping::<DebraPlus<u64>>());
-    assert!(helping::<ClassicEbr<u64>>());
-    assert!(!helping::<HazardPointers<u64>>());
-    assert!(!helping::<ThreadScanLite<u64>>());
-    assert!(
-        !helping::<Ibr<u64>>(),
-        "IBR must not help: its reservation covers only validated reads"
-    );
-    // VBR composes only with the type-stable page pool (it panics on any other allocator).
-    assert!(
-        !helping_on::<Vbr<u64>, PagePool<u64>, PageAllocator<u64>>(),
-        "VBR must not help: a version re-check cannot cover a link the helper never read"
-    );
 }
 
 /// Two live `Recovery` scopes on one thread would let the inner drop release the outer

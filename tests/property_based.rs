@@ -7,11 +7,13 @@ use std::sync::Arc;
 use proptest::prelude::*;
 
 use debra_repro::blockbag::BlockBag;
-use debra_repro::debra::{Debra, DebraPlus, Reclaimer, RecordManager};
+use debra_repro::debra::{Debra, Reclaimer, RecordManager};
+use debra_repro::for_each_scheme;
 use debra_repro::lockfree_ds::{BstNode, ConcurrentBag, ConcurrentMap, ExternalBst};
 use debra_repro::neutralize::AnnounceWord;
+use debra_repro::schemes::{Manager, Scheme};
 use debra_repro::smr_alloc::{SystemAllocator, ThreadPool};
-use debra_repro::smr_baselines::{ClassicEbr, HazardPointers, NoReclaim, ThreadScanLite};
+use debra_repro::smr_baselines::HazardPointers;
 use debra_repro::smr_hashmap::{HashMapNode, LockFreeHashMap};
 use debra_repro::smr_ibr::Ibr;
 use debra_repro::smr_queue::{MsQueue, QueueNode, StackNode, TreiberStack};
@@ -207,10 +209,7 @@ proptest! {
 /// chain!) run genuinely concurrently, exercising traversal over nodes that other threads
 /// are concurrently unlinking and retiring.  A per-key-independent map makes this a sound
 /// oracle: an operation's result depends only on its own key's state.
-fn hashmap_striped_oracle<R>()
-where
-    R: Reclaimer<HashMapNode<u64, u64>>,
-{
+fn hashmap_oracle<S: Scheme>() {
     use std::collections::HashMap;
     use std::sync::Mutex;
 
@@ -219,13 +218,11 @@ where
     const KEYS: u64 = 64;
     const OPS: u64 = 3_000;
     type Node = HashMapNode<u64, u64>;
-    type Map<R> = LockFreeHashMap<u64, u64, R, ThreadPool<Node>, SystemAllocator<Node>>;
 
-    let manager: Arc<RecordManager<Node, R, ThreadPool<Node>, SystemAllocator<Node>>> =
-        Arc::new(RecordManager::new(THREADS + 1));
+    let manager = Arc::new(Manager::<S, Node>::new(THREADS + 1));
     // 8 buckets for 64 keys: every bucket chain is shared by several stripes, so oracle
     // serialization per key does not serialize bucket traffic.
-    let map: Arc<Map<R>> = Arc::new(LockFreeHashMap::with_buckets(Arc::clone(&manager), 8));
+    let map = Arc::new(LockFreeHashMap::with_buckets(Arc::clone(&manager), 8));
     let oracle: Arc<Vec<Mutex<HashMap<u64, u64>>>> =
         Arc::new((0..STRIPES).map(|_| Mutex::new(HashMap::new())).collect());
 
@@ -289,14 +286,7 @@ where
     assert!(stats.reclaimed <= stats.retired);
 }
 
-macro_rules! hashmap_oracle_test {
-    ($name:ident, $recl:ty) => {
-        #[test]
-        fn $name() {
-            hashmap_striped_oracle::<$recl>();
-        }
-    };
-}
+for_each_scheme!(tests hashmap_oracle_*: hashmap_oracle);
 
 /// Concurrent sequential-consistency oracle for the queue: every (queue operation,
 /// `Mutex<VecDeque>` operation) pair executes atomically under one lock, so the global
@@ -307,21 +297,15 @@ macro_rules! hashmap_oracle_test {
 /// cross-thread retirement of sentinels popped by other threads' pushes, epoch/HP/IBR
 /// scans racing the lock-free window.  What it proves is hand-off correctness per
 /// scheme: the value delivered is always the model's front, under every reclaimer.
-fn queue_locked_oracle<R>()
-where
-    R: Reclaimer<QueueNode<u64>>,
-{
+fn queue_oracle<S: Scheme>() {
     use std::collections::VecDeque;
     use std::sync::Mutex;
 
     const THREADS: usize = 3;
     const OPS: u64 = 3_000;
-    type Node = QueueNode<u64>;
-    type Queue<R> = MsQueue<u64, R, ThreadPool<Node>, SystemAllocator<Node>>;
 
-    let manager: Arc<RecordManager<Node, R, ThreadPool<Node>, SystemAllocator<Node>>> =
-        Arc::new(RecordManager::new(THREADS + 1));
-    let queue: Arc<Queue<R>> = Arc::new(MsQueue::new(Arc::clone(&manager)));
+    let manager = Arc::new(Manager::<S, QueueNode<u64>>::new(THREADS + 1));
+    let queue = Arc::new(MsQueue::new(Arc::clone(&manager)));
     let oracle: Arc<Mutex<VecDeque<u64>>> = Arc::new(Mutex::new(VecDeque::new()));
 
     let mut joins = Vec::new();
@@ -361,29 +345,4 @@ where
     assert!(stats.reclaimed <= stats.retired);
 }
 
-macro_rules! queue_oracle_test {
-    ($name:ident, $recl:ty) => {
-        #[test]
-        fn $name() {
-            queue_locked_oracle::<$recl>();
-        }
-    };
-}
-
-type QoNode = QueueNode<u64>;
-queue_oracle_test!(queue_oracle_none, NoReclaim<QoNode>);
-queue_oracle_test!(queue_oracle_ebr, ClassicEbr<QoNode>);
-queue_oracle_test!(queue_oracle_hazard_pointers, HazardPointers<QoNode>);
-queue_oracle_test!(queue_oracle_threadscan, ThreadScanLite<QoNode>);
-queue_oracle_test!(queue_oracle_debra, Debra<QoNode>);
-queue_oracle_test!(queue_oracle_debra_plus, DebraPlus<QoNode>);
-queue_oracle_test!(queue_oracle_ibr, Ibr<QoNode>);
-
-type HmNode = HashMapNode<u64, u64>;
-hashmap_oracle_test!(hashmap_oracle_none, NoReclaim<HmNode>);
-hashmap_oracle_test!(hashmap_oracle_ebr, ClassicEbr<HmNode>);
-hashmap_oracle_test!(hashmap_oracle_hazard_pointers, HazardPointers<HmNode>);
-hashmap_oracle_test!(hashmap_oracle_threadscan, ThreadScanLite<HmNode>);
-hashmap_oracle_test!(hashmap_oracle_debra, Debra<HmNode>);
-hashmap_oracle_test!(hashmap_oracle_debra_plus, DebraPlus<HmNode>);
-hashmap_oracle_test!(hashmap_oracle_ibr, Ibr<HmNode>);
+for_each_scheme!(tests queue_oracle_*: queue_oracle);

@@ -15,8 +15,8 @@
 //!
 //! The clean-run tests are the other half of the contract: a correct workload under every
 //! scheme must produce **zero** reports (no false positives) — the Harris–Michael list,
-//! the hash map, the Michael–Scott queue and the Treiber stack, each under all eight
-//! schemes.
+//! the hash map, the Michael–Scott queue and the Treiber stack, each under every scheme
+//! of the registry.
 //!
 //! The sanitizer's counters and shadow table are process-global, so every test
 //! serializes on [`LOCK`] and asserts on counter *deltas*.
@@ -28,18 +28,15 @@ use std::sync::atomic::Ordering;
 use std::sync::{Arc, Mutex};
 
 use check::ViolationKind;
-use debra_repro::debra::{
-    Allocator as _, Atomic, Debra, DebraPlus, Domain, Pool as _, RecordManager, Shared,
-};
+use debra_repro::debra::{Allocator as _, Atomic, Debra, Domain, Pool as _, RecordManager, Shared};
+use debra_repro::for_each_scheme;
 use debra_repro::lockfree_ds::{ConcurrentBag, ConcurrentMap, HarrisMichaelList, ListNode};
+use debra_repro::schemes::{Manager, Scheme};
 use debra_repro::smr_alloc::{SystemAllocator, ThreadPool};
-use debra_repro::smr_baselines::{ClassicEbr, HazardPointers, HpConfig, NoReclaim, ThreadScanLite};
+use debra_repro::smr_baselines::{ClassicEbr, HazardPointers, HpConfig};
 use debra_repro::smr_check as check;
 use debra_repro::smr_hashmap::{HashMapNode, LockFreeHashMap};
-use debra_repro::smr_ibr::Ibr;
-use debra_repro::smr_pagepool::{PageAllocator, PagePool};
 use debra_repro::smr_queue::{MsQueue, QueueNode, StackNode, TreiberStack};
-use debra_repro::smr_vbr::Vbr;
 
 /// Serializes the tests: the shadow table, violation counters and panic-mode switch are
 /// process-global.  Poison-tolerant so one failing test does not cascade.
@@ -309,79 +306,30 @@ fn clean_bag_stress<B: ConcurrentBag<u64>>(bag: B) {
     );
 }
 
-type List<R, P, A> = HarrisMichaelList<u64, u64, R, P, A>;
-type Map<R, P, A> = LockFreeHashMap<u64, u64, R, P, A>;
-type Queue<R, P, A> = MsQueue<u64, R, P, A>;
-type Stack<R, P, A> = TreiberStack<u64, R, P, A>;
-
-/// One `#[test]` per scheme for a structure: `driver` is `clean_map_stress` or
-/// `clean_bag_stress`, `ds` one of the aliases above, `node` its record type.
-macro_rules! clean_stress {
-    ($driver:ident, $ds:ident, $node:ty; $($name:ident: $reclaimer:ident,)+) => {$(
-        clean_stress!(@one $driver, $ds, $node, $name, $reclaimer, ThreadPool, SystemAllocator);
-    )+};
-    (@one $driver:ident, $ds:ident, $node:ty, $name:ident, $reclaimer:ident, $pool:ident,
-     $alloc:ident) => {
-        #[test]
-        fn $name() {
-            type Node = $node;
-            let manager = Arc::new(RecordManager::new(STRESS_THREADS + 1));
-            $driver(<$ds<$reclaimer<Node>, $pool<Node>, $alloc<Node>>>::new(manager));
-        }
-    };
+/// The clean-run rows under every scheme, VBR on its type-stable page pool (the
+/// validation-aware shadow model — `Revived` + excused stale derefs — must keep a clean
+/// VBR run report-free).  Each row builds its structure over a fresh Record Manager with
+/// a slot per worker plus one.
+fn manager<S: Scheme, T: Send + 'static>() -> Arc<Manager<S, T>> {
+    Arc::new(Manager::<S, T>::new(STRESS_THREADS + 1))
 }
 
-clean_stress! {
-    clean_map_stress, List, ListNode<u64, u64>;
-    clean_stress_none: NoReclaim,
-    clean_stress_ebr: ClassicEbr,
-    clean_stress_hazard_pointers: HazardPointers,
-    clean_stress_threadscan: ThreadScanLite,
-    clean_stress_debra: Debra,
-    clean_stress_debra_plus: DebraPlus,
-    clean_stress_ibr: Ibr,
+fn clean_stress_list<S: Scheme>() {
+    clean_map_stress(HarrisMichaelList::new(manager::<S, ListNode<u64, u64>>()));
 }
+for_each_scheme!(tests clean_stress_*: clean_stress_list);
 
-clean_stress! {
-    clean_map_stress, Map, HashMapNode<u64, u64>;
-    clean_stress_map_none: NoReclaim,
-    clean_stress_map_ebr: ClassicEbr,
-    clean_stress_map_hazard_pointers: HazardPointers,
-    clean_stress_map_threadscan: ThreadScanLite,
-    clean_stress_map_debra: Debra,
-    clean_stress_map_debra_plus: DebraPlus,
-    clean_stress_map_ibr: Ibr,
+fn clean_stress_map<S: Scheme>() {
+    clean_map_stress(LockFreeHashMap::new(manager::<S, HashMapNode<u64, u64>>()));
 }
+for_each_scheme!(tests clean_stress_map_*: clean_stress_map);
 
-clean_stress! {
-    clean_bag_stress, Queue, QueueNode<u64>;
-    clean_stress_queue_none: NoReclaim,
-    clean_stress_queue_ebr: ClassicEbr,
-    clean_stress_queue_hazard_pointers: HazardPointers,
-    clean_stress_queue_threadscan: ThreadScanLite,
-    clean_stress_queue_debra: Debra,
-    clean_stress_queue_debra_plus: DebraPlus,
-    clean_stress_queue_ibr: Ibr,
+fn clean_stress_queue<S: Scheme>() {
+    clean_bag_stress(MsQueue::new(manager::<S, QueueNode<u64>>()));
 }
+for_each_scheme!(tests clean_stress_queue_*: clean_stress_queue);
 
-clean_stress! {
-    clean_bag_stress, Stack, StackNode<u64>;
-    clean_stress_stack_none: NoReclaim,
-    clean_stress_stack_ebr: ClassicEbr,
-    clean_stress_stack_hazard_pointers: HazardPointers,
-    clean_stress_stack_threadscan: ThreadScanLite,
-    clean_stress_stack_debra: Debra,
-    clean_stress_stack_debra_plus: DebraPlus,
-    clean_stress_stack_ibr: Ibr,
+fn clean_stress_stack<S: Scheme>() {
+    clean_bag_stress(TreiberStack::new(manager::<S, StackNode<u64>>()));
 }
-
-// VBR composes only with the type-stable page pool; the validation-aware shadow model
-// (`Revived` + excused stale derefs) must keep a clean VBR run report-free.
-clean_stress!(@one clean_map_stress, List, ListNode<u64, u64>, clean_stress_vbr, Vbr, PagePool,
-    PageAllocator);
-clean_stress!(@one clean_map_stress, Map, HashMapNode<u64, u64>, clean_stress_map_vbr, Vbr,
-    PagePool, PageAllocator);
-clean_stress!(@one clean_bag_stress, Queue, QueueNode<u64>, clean_stress_queue_vbr, Vbr,
-    PagePool, PageAllocator);
-clean_stress!(@one clean_bag_stress, Stack, StackNode<u64>, clean_stress_stack_vbr, Vbr,
-    PagePool, PageAllocator);
+for_each_scheme!(tests clean_stress_stack_*: clean_stress_stack);
