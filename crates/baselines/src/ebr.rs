@@ -258,24 +258,50 @@ mod tests {
 
     #[test]
     fn rotations_that_free_nothing_keep_the_limbo_gauge() {
-        // One thread rotates on every pin; with no full block nothing is ever handed over,
-        // and the gauges published by the retires must still read right.
+        // One thread rotates on every pin.  A rotation onto an empty bag hands nothing over,
+        // and the gauge published by the retires must still read right; the bag holding
+        // the records is emptied two rotations later.
         let ebr: Arc<ClassicEbr<u64>> = Arc::new(ClassicEbr::new(1));
         let mut t = ClassicEbr::register(&ebr, 0).unwrap();
-        let mut sink = CountingSink::default();
+        let mut sink = FreeingSink { freed: 0 };
+        let _ = t.leave_qstate(&mut sink);
         for i in 0..3u64 {
+            unsafe { t.retire(leak(i), &mut sink) };
+        }
+        t.enter_qstate();
+        let record = std::mem::size_of::<u64>() as u64;
+        for _ in 0..2 {
+            assert!(t.leave_qstate(&mut sink), "a lone thread advances and rotates every pin");
+            t.enter_qstate();
+            let stats = ebr.stats();
+            assert_eq!(sink.freed, 0);
+            assert_eq!((stats.retired, stats.reclaimed, stats.pending), (3, 0, 3));
+            assert_eq!(stats.limbo_bytes, 3 * record);
+        }
+        assert!(t.leave_qstate(&mut sink));
+        t.enter_qstate();
+        let stats = ebr.stats();
+        assert_eq!(sink.freed, 3, "fewer records than a block are handed over all the same");
+        assert_eq!((stats.retired, stats.reclaimed, stats.pending), (3, 3, 0));
+        assert_eq!(stats.limbo_bytes, 0);
+        drop(t);
+        assert!(ebr.drain_orphans().is_empty());
+    }
+
+    #[test]
+    fn a_lone_thread_keeps_at_most_three_records_in_limbo() {
+        // One retire per operation and a rotation on every pin: each bag holds one epoch's
+        // single record, and a rotation hands it over whole, not only once a block fills.
+        let ebr: Arc<ClassicEbr<u64>> = Arc::new(ClassicEbr::new(1));
+        let mut t = ClassicEbr::register(&ebr, 0).unwrap();
+        let mut sink = FreeingSink { freed: 0 };
+        for i in 0..600u64 {
             let _ = t.leave_qstate(&mut sink);
             unsafe { t.retire(leak(i), &mut sink) };
             t.enter_qstate();
+            assert!(ebr.stats().pending <= 3, "pending {} after {i} ops", ebr.stats().pending);
         }
-        for _ in 0..100 {
-            assert!(t.leave_qstate(&mut sink), "a lone thread advances and rotates every pin");
-            t.enter_qstate();
-        }
-        let stats = ebr.stats();
-        assert_eq!(sink.accepted, 0);
-        assert_eq!((stats.retired, stats.reclaimed, stats.pending), (3, 0, 3));
-        assert_eq!(stats.limbo_bytes, 3 * std::mem::size_of::<u64>() as u64);
+        assert_eq!(sink.freed as u64 + ebr.stats().pending, 600);
         drop(t);
         for r in ebr.drain_orphans() {
             unsafe { drop(Box::from_raw(r.as_ptr())) };

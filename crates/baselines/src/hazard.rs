@@ -1,5 +1,6 @@
 //! Michael-style hazard pointers.
 
+use std::collections::HashSet;
 use std::fmt;
 use std::ptr::NonNull;
 use std::sync::atomic::{AtomicPtr, Ordering};
@@ -7,7 +8,7 @@ use std::sync::Arc;
 
 use blockbag::BlockBag;
 use debra::{
-    hand_over, AnnounceSlots, CodeModifications, ReclaimSink, Reclaimer, ReclaimerThread,
+    to_sink, AnnounceSlots, CodeModifications, ReclaimSink, Reclaimer, ReclaimerThread,
     RegistrationError, SchemeProperties, Termination, ThreadStatsSlot, ThreadTable,
     TimingAssumptions,
 };
@@ -78,6 +79,7 @@ impl<T: Send + 'static> Reclaimer<T> for HazardPointers<T> {
             global: Arc::clone(this),
             tid,
             retired: BlockBag::with_block_capacity(this.config.block_capacity),
+            hazards: HashSet::with_capacity(this.hp.capacity()),
             quiescent: true,
         })
     }
@@ -121,6 +123,9 @@ pub struct HazardPointersThread<T: Send + 'static> {
     global: Arc<HazardPointers<T>>,
     tid: usize,
     retired: BlockBag<T>,
+    /// Scratch for the hazard pointers a scan gathers, sized at registration for every
+    /// thread's slots so that gathering never allocates.
+    hazards: HashSet<usize>,
     quiescent: bool,
 }
 
@@ -133,14 +138,13 @@ impl<T: Send + 'static> HazardPointersThread<T> {
     /// Scans all hazard pointers and hands every unprotected retired record to the sink
     /// (the amortized-O(1) bulk scan described in the paper's related-work section).
     fn scan<S: ReclaimSink<T>>(&mut self, sink: &mut S) {
-        let hazards = self.global.hp.collect();
-        let blocks = self
-            .retired
-            .partition_and_take_full_blocks(|p| hazards.contains(&(p.as_ptr() as usize)));
-        let reclaimed = hand_over(blocks, sink);
-        let threads = &self.global.threads;
-        ThreadStatsSlot::bump(&threads.stats(self.tid).reclaimed, reclaimed);
-        threads.publish_limbo(self.tid, self.retired.len() as u64);
+        let HazardPointersThread { global, tid, retired, hazards, .. } = self;
+        global.hp.collect_into(hazards);
+        let reclaimed = retired
+            .partition_and_hand_over(|p| hazards.contains(&(p.as_ptr() as usize)), to_sink(sink));
+        let threads = &global.threads;
+        ThreadStatsSlot::bump(&threads.stats(*tid).reclaimed, reclaimed as u64);
+        threads.publish_limbo(*tid, retired.len() as u64);
     }
 
     fn my_slots(&self) -> &[AtomicPtr<u8>] {

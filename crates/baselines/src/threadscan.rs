@@ -1,5 +1,6 @@
 //! ThreadScan-lite: a fence-free hazard-pointer variant with signal-assisted scanning.
 
+use std::collections::HashSet;
 use std::fmt;
 use std::ptr::NonNull;
 use std::sync::atomic::{AtomicPtr, Ordering};
@@ -7,7 +8,7 @@ use std::sync::Arc;
 
 use blockbag::BlockBag;
 use debra::{
-    hand_over, AnnounceSlots, CodeModifications, ReclaimSink, Reclaimer, ReclaimerThread,
+    to_sink, AnnounceSlots, CodeModifications, ReclaimSink, Reclaimer, ReclaimerThread,
     RegistrationError, SchemeProperties, Termination, ThreadStatsSlot, ThreadTable,
     TimingAssumptions,
 };
@@ -101,6 +102,7 @@ impl<T: Send + 'static> Reclaimer<T> for ThreadScanLite<T> {
             global: Arc::clone(this),
             tid,
             retired: BlockBag::with_block_capacity(this.config.block_capacity),
+            referenced: HashSet::with_capacity(this.refs.capacity()),
             quiescent: true,
             _registration: registration,
         })
@@ -145,6 +147,9 @@ pub struct ThreadScanLiteThread<T: Send + 'static> {
     global: Arc<ThreadScanLite<T>>,
     tid: usize,
     retired: BlockBag<T>,
+    /// Scratch for the references a scan gathers, sized at registration for every
+    /// thread's slots so that gathering never allocates.
+    referenced: HashSet<usize>,
     quiescent: bool,
     _registration: ThreadRegistration,
 }
@@ -155,18 +160,18 @@ impl<T: Send + 'static> ThreadScanLiteThread<T> {
     }
 
     fn scan<S: ReclaimSink<T>>(&mut self, sink: &mut S) {
-        let global = Arc::clone(&self.global);
+        let ThreadScanLiteThread { global, tid, retired, referenced, .. } = self;
         // Only one thread reclaims at a time (ThreadScan's global reclamation lock).
         let _guard = global.reclaim_lock.lock();
-        global.signal_and_await(self.tid);
-        let referenced = global.refs.collect();
-        let blocks = self
-            .retired
-            .partition_and_take_full_blocks(|p| referenced.contains(&(p.as_ptr() as usize)));
-        let reclaimed = hand_over(blocks, sink);
+        global.signal_and_await(*tid);
+        global.refs.collect_into(referenced);
+        let reclaimed = retired.partition_and_hand_over(
+            |p| referenced.contains(&(p.as_ptr() as usize)),
+            to_sink(sink),
+        );
         let threads = &global.threads;
-        ThreadStatsSlot::bump(&threads.stats(self.tid).reclaimed, reclaimed);
-        threads.publish_limbo(self.tid, self.retired.len() as u64);
+        ThreadStatsSlot::bump(&threads.stats(*tid).reclaimed, reclaimed as u64);
+        threads.publish_limbo(*tid, retired.len() as u64);
     }
 }
 

@@ -9,6 +9,15 @@ use crate::block::{Block, DEFAULT_BLOCK_CAPACITY};
 /// bounded per-process block pool of 16 blocks).
 const MAX_SPARE_BLOCKS: usize = 16;
 
+/// What a hand-over moves out of a [`BlockBag`]: a full block, whole, or a single record.
+#[derive(Debug)]
+pub enum Taken<T> {
+    /// A full block; it changes owner in O(1), its records untouched.
+    Block(Box<Block<T>>),
+    /// One record.
+    Record(NonNull<T>),
+}
+
 /// A single-owner bag of record pointers, stored in fixed-capacity [`Block`]s.
 ///
 /// This is the data structure used for DEBRA's *limbo bags* and for the object pool's
@@ -17,11 +26,18 @@ const MAX_SPARE_BLOCKS: usize = 16;
 /// the following operations cheap:
 ///
 /// * [`push`](BlockBag::push) / [`pop`](BlockBag::pop): O(1);
-/// * [`take_full_blocks`](BlockBag::take_full_blocks): O(1) per block moved — this is the
-///   paper's `pool->moveFullBlocks(bag)`;
-/// * [`partition_and_take_full_blocks`](BlockBag::partition_and_take_full_blocks): a single
-///   linear scan used by DEBRA+ to retain records protected by restricted hazard pointers
-///   while still moving whole blocks of unprotected records to the pool.
+/// * [`hand_over`](BlockBag::hand_over): empties the bag, O(1) per full block plus at most
+///   `block_capacity` single-record moves for the head block's contents — the paper's
+///   `pool->moveFullBlocks(bag)`, extended so that no record proven free stays behind;
+/// * [`partition_and_hand_over`](BlockBag::partition_and_hand_over): one in-place pass
+///   that keeps the records a predicate protects and hands over all the others, whole
+///   blocks where it can — the scan of DEBRA+'s `rotateAndReclaim` and of the
+///   hazard-pointer reclaimers;
+/// * [`take_full_blocks`](BlockBag::take_full_blocks): O(1) per block moved, leaving the
+///   partial head behind — how the pools move blocks between their bags.
+///
+/// Neither hand-over allocates: blocks change owner whole, and an emptied block the bag no
+/// longer needs goes to its bounded spare cache, whose capacity is reserved up front.
 ///
 /// The bag stores raw record pointers and never dereferences them; the caller retains
 /// responsibility for the records' lifetimes.
@@ -52,7 +68,7 @@ impl<T> BlockBag<T> {
     pub fn with_block_capacity(block_capacity: usize) -> Self {
         BlockBag {
             blocks: vec![Block::with_capacity(block_capacity)],
-            spare: Vec::new(),
+            spare: Vec::with_capacity(MAX_SPARE_BLOCKS),
             block_capacity,
             len: 0,
         }
@@ -167,76 +183,95 @@ impl<T> BlockBag<T> {
         taken
     }
 
-    /// Partitions the bag so that every record for which `keep` returns `true` stays in the
-    /// bag, then moves out as many *full* blocks of non-kept records as possible.
+    /// Hands every record in the bag to `take`: each full block whole, in push order, and
+    /// then the head block's records one at a time.  The head block itself stays, empty.
     ///
-    /// This implements DEBRA+'s `rotateAndReclaim` scan (paper, Figure 6): records pointed
-    /// to by restricted hazard pointers are retained, and whole blocks of unprotected
-    /// records are handed to the pool.  Up to `block_capacity - 1` unprotected records may
-    /// remain in the bag (exactly like the paper, which leaves the partially-filled head
-    /// block behind); they will be reclaimed on a later rotation.
+    /// This is the paper's `moveFullBlocks` extended to the partial head: O(1) per full
+    /// block plus at most `block_capacity` per-record moves, which is amortized O(1) per
+    /// record handed over.  It allocates nothing.  Returns the number of records handed
+    /// over.
+    pub fn hand_over(&mut self, take: impl FnMut(Taken<T>)) -> usize {
+        self.hand_over_from(0, take)
+    }
+
+    /// Keeps every record for which `keep` returns `true` and hands every other record to
+    /// `take`: whole blocks where the bag has full blocks of them, one record at a time
+    /// for the rest (fewer than `2 * block_capacity` of them).
     ///
-    /// Returns the full blocks of non-kept records.
-    pub fn partition_and_take_full_blocks(
+    /// This is the scan of DEBRA+'s `rotateAndReclaim` (paper, Figure 6) and of the
+    /// hazard-pointer and ThreadScan reclaimers: `keep` tests a record against the
+    /// announced pointers.  One pass moves the kept records to the front of the bag in
+    /// place, swapping each with the first record not kept; the records after them are
+    /// handed over exactly as [`hand_over`](Self::hand_over) would hand over a bag that
+    /// held only them.  With a `keep` that is never `true` nothing is swapped, so this
+    /// hands over the same blocks and records, in the same order, as
+    /// [`hand_over`](Self::hand_over).  It allocates nothing.  Returns the number of
+    /// records handed over.
+    pub fn partition_and_hand_over(
         &mut self,
         mut keep: impl FnMut(NonNull<T>) -> bool,
-    ) -> Vec<Box<Block<T>>> {
-        let mut kept: Vec<NonNull<T>> = Vec::new();
-        let mut freeable: Vec<NonNull<T>> = Vec::new();
-        let mut spare_blocks: Vec<Box<Block<T>>> = Vec::new();
-        for mut block in self.blocks.drain(..) {
-            for entry in block.entries_mut().drain(..) {
-                if keep(entry) {
-                    kept.push(entry);
-                } else {
-                    freeable.push(entry);
+        take: impl FnMut(Taken<T>),
+    ) -> usize {
+        let cap = self.block_capacity;
+        let mut kept = 0;
+        for b in 0..self.blocks.len() {
+            for i in 0..self.blocks[b].len() {
+                let record = self.blocks[b].entries()[i];
+                if !keep(record) {
+                    continue;
                 }
-            }
-            spare_blocks.push(block);
-        }
-
-        // Rebuild the bag: kept records first, then the leftover freeable records that do
-        // not fill a whole block.
-        let leftover = freeable.len() % self.block_capacity;
-        let (to_free, stay) = freeable.split_at(freeable.len() - leftover);
-
-        let mut taken = Vec::new();
-        let mut to_free_iter = to_free.iter().copied();
-        'outer: loop {
-            let mut block =
-                spare_blocks.pop().unwrap_or_else(|| Block::with_capacity(self.block_capacity));
-            loop {
-                match to_free_iter.next() {
-                    Some(r) => {
-                        let ok = block.push(r);
-                        debug_assert!(ok);
-                        if block.is_full() {
-                            taken.push(block);
-                            break;
-                        }
-                    }
-                    None => {
-                        debug_assert!(block.is_empty());
-                        spare_blocks.push(block);
-                        break 'outer;
-                    }
+                // Every block before the head is full, so position `kept` is entry
+                // `kept % cap` of block `kept / cap`; it holds a record not kept (or this
+                // one), which takes this record's place.
+                let (kb, ki) = (kept / cap, kept % cap);
+                if (kb, ki) != (b, i) {
+                    let other = self.blocks[kb].entries()[ki];
+                    self.blocks[kb].entries_mut()[ki] = record;
+                    self.blocks[b].entries_mut()[i] = other;
                 }
+                kept += 1;
             }
         }
+        self.hand_over_from(kept, take)
+    }
 
-        // Restore the bag contents.
-        self.blocks.clear();
-        self.blocks
-            .push(spare_blocks.pop().unwrap_or_else(|| Block::with_capacity(self.block_capacity)));
-        self.len = 0;
-        for r in kept.into_iter().chain(stay.iter().copied()) {
-            self.push(r);
+    /// Hands over every record at position `kept` or later, counting positions from the
+    /// oldest block on; the `kept` records before them stay and form the new bag.
+    fn hand_over_from(&mut self, kept: usize, mut take: impl FnMut(Taken<T>)) -> usize {
+        let handed = self.len - kept;
+        if handed == 0 {
+            return 0;
         }
-        // Cache a bounded number of leftover empty blocks.
-        for block in spare_blocks {
-            self.recycle_block(block);
+        let cap = self.block_capacity;
+        // Blocks `..kept / cap` hold only kept records; a partly kept block follows them
+        // when `kept` is not a multiple of the capacity.
+        let mut first_free = kept / cap;
+        let partly_kept = kept % cap;
+        if partly_kept > 0 {
+            let block = &mut self.blocks[first_free];
+            for &record in &block.entries()[partly_kept..] {
+                take(Taken::Record(record));
+            }
+            block.entries_mut().truncate(partly_kept);
+            first_free += 1;
         }
-        taken
+        let head = self.blocks.len() - 1;
+        if first_free <= head {
+            for block in self.blocks.drain(first_free..head) {
+                take(Taken::Block(block));
+            }
+            let head = self.blocks.last_mut().expect("bag always has a head block");
+            for record in head.drain() {
+                take(Taken::Record(record));
+            }
+            if partly_kept > 0 {
+                // The partly kept block becomes the head; the emptied old head is spare.
+                let empty = self.blocks.pop().expect("the partly kept block precedes it");
+                self.recycle_block(empty);
+            }
+        }
+        self.len = kept;
+        handed
     }
 
     /// Adds a whole block of records to the bag.
@@ -429,6 +464,30 @@ mod tests {
         assert_eq!(bag.blocks.as_ptr(), blocks_buffer, "the block list is not rebuilt");
     }
 
+    /// Collects what a hand-over gives: the blocks whole, the single records in order.
+    #[derive(Default)]
+    struct Collected {
+        // Boxed as handed over: the tests compare block allocations by identity.
+        #[allow(clippy::vec_box)]
+        blocks: Vec<Box<Block<u64>>>,
+        records: Vec<NonNull<u64>>,
+    }
+
+    impl Collected {
+        fn take(&mut self) -> impl FnMut(Taken<u64>) + '_ {
+            |taken| match taken {
+                Taken::Block(block) => self.blocks.push(block),
+                Taken::Record(record) => self.records.push(record),
+            }
+        }
+
+        /// Every record handed over, blocks first, in the order they were given.
+        fn all(&self) -> Vec<NonNull<u64>> {
+            let in_blocks = self.blocks.iter().flat_map(|b| b.iter());
+            in_blocks.chain(self.records.iter().copied()).collect()
+        }
+    }
+
     #[test]
     fn partition_keeps_protected_records() {
         let mut bag: BlockBag<u64> = BlockBag::with_block_capacity(4);
@@ -436,24 +495,112 @@ mod tests {
             bag.push(ptr(i));
         }
         let protected: HashSet<NonNull<u64>> = (0..40).step_by(7).map(ptr).collect();
-        let taken = bag.partition_and_take_full_blocks(|p| protected.contains(&p));
+        let mut taken = Collected::default();
+        let handed = bag.partition_and_hand_over(|p| protected.contains(&p), taken.take());
         // No protected record may leave the bag.
-        for block in &taken {
-            for e in block.iter() {
-                assert!(!protected.contains(&e), "protected record was reclaimed");
-            }
+        for e in taken.all() {
+            assert!(!protected.contains(&e), "protected record was reclaimed");
         }
-        // Every record is either still in the bag or in a taken block.
+        // Every record is either still in the bag or handed over.
         let in_bag: HashSet<_> = bag.iter().collect();
-        let in_taken: HashSet<_> = taken.iter().flat_map(|b| b.iter()).collect();
+        let in_taken: HashSet<_> = taken.all().into_iter().collect();
+        assert_eq!(handed, in_taken.len());
         assert_eq!(in_bag.len() + in_taken.len(), 40);
         for p in &protected {
             assert!(in_bag.contains(p));
         }
-        // Taken blocks are full.
-        assert!(taken.iter().all(|b| b.is_full()));
-        // At most B-1 unprotected records stay behind.
-        assert!(in_bag.len() < protected.len() + bag.block_capacity());
+        // Every taken block is full; what is not in one came as single records, and those
+        // are fewer than two blocks' worth.
+        assert!(taken.blocks.iter().all(|b| b.is_full()));
+        assert!(!taken.blocks.is_empty());
+        assert!(taken.records.len() < 2 * bag.block_capacity());
+        // No unprotected record stays, and the bag keeps its invariant.
+        assert_eq!(in_bag.len(), protected.len());
+        assert_eq!(bag.len(), protected.len());
+        for block in &bag.blocks[..bag.blocks.len() - 1] {
+            assert!(block.is_full());
+        }
+    }
+
+    #[test]
+    fn partition_that_keeps_nothing_matches_hand_over() {
+        // Both paths must hand over the same blocks and records in the same order (DEBRA+
+        // takes the cheaper `hand_over` whenever nothing is announced).
+        for len in [0, 3, 4, 9, 12, 13] {
+            let mut plain: BlockBag<u64> = BlockBag::with_block_capacity(4);
+            let mut parted: BlockBag<u64> = BlockBag::with_block_capacity(4);
+            for i in 0..len {
+                plain.push(ptr(i));
+                parted.push(ptr(i));
+            }
+            let (mut a, mut b) = (Collected::default(), Collected::default());
+            assert_eq!(plain.hand_over(a.take()), len);
+            assert_eq!(parted.partition_and_hand_over(|_| false, b.take()), len);
+            assert_eq!(a.all(), (0..len).map(ptr).collect::<Vec<_>>(), "push order");
+            assert_eq!(a.all(), b.all());
+            assert_eq!(a.blocks.len(), b.blocks.len());
+            assert!(plain.is_empty() && parted.is_empty());
+        }
+    }
+
+    #[test]
+    fn partition_keeps_any_subset_and_the_invariant() {
+        // Every keep pattern over bags of 0..=13 records with 4-record blocks: the kept
+        // records stay, the rest are handed over, and the bag stays well formed and usable.
+        for len in 0..=13usize {
+            for pattern in [0usize, 1, 0b101, 0b1111, 0b1_0000_0001, usize::MAX, 0x2492] {
+                let keep =
+                    |p: NonNull<u64>| pattern >> ((p.as_ptr() as usize / 8 - 1) % 64) & 1 == 1;
+                let mut bag: BlockBag<u64> = BlockBag::with_block_capacity(4);
+                for i in 0..len {
+                    bag.push(ptr(i));
+                }
+                let mut taken = Collected::default();
+                let handed = bag.partition_and_hand_over(keep, taken.take());
+                let expect_kept: HashSet<_> = (0..len).map(ptr).filter(|&p| keep(p)).collect();
+                let kept: HashSet<_> = bag.iter().collect();
+                assert_eq!(kept, expect_kept, "len {len}, pattern {pattern:#b}");
+                assert_eq!(handed + bag.len(), len);
+                assert!(taken.all().iter().all(|&p| !keep(p)));
+                assert!(taken.blocks.iter().all(|b| b.is_full()));
+                for block in &bag.blocks[..bag.blocks.len() - 1] {
+                    assert!(block.is_full(), "len {len}, pattern {pattern:#b}");
+                }
+                bag.push(ptr(100));
+                assert_eq!(bag.drain().count(), kept.len() + 1);
+            }
+        }
+    }
+
+    #[test]
+    fn hand_over_moves_full_blocks_whole_and_keeps_the_head_block() {
+        // Like `take_full_blocks_moves_blocks_whole_not_per_record`: the full blocks leave
+        // as the same allocations with their entries untouched; only the head block's
+        // records travel one by one, and the head block itself stays in the bag.
+        let mut bag: BlockBag<u64> = BlockBag::with_block_capacity(4);
+        for i in 0..14 {
+            bag.push(ptr(i));
+        }
+        let full_before: Vec<(*const Block<u64>, Vec<NonNull<u64>>)> = bag.blocks
+            [..bag.blocks.len() - 1]
+            .iter()
+            .map(|b| (&**b as *const Block<u64>, b.entries().to_vec()))
+            .collect();
+        assert_eq!(full_before.len(), 3);
+        let head = &**bag.blocks.last().unwrap() as *const Block<u64>;
+
+        let mut taken = Collected::default();
+        assert_eq!(bag.hand_over(taken.take()), 14);
+        let after: Vec<(*const Block<u64>, Vec<NonNull<u64>>)> = taken
+            .blocks
+            .iter()
+            .map(|b| (&**b as *const Block<u64>, b.entries().to_vec()))
+            .collect();
+        assert_eq!(after, full_before, "the same allocations, in order, entries untouched");
+        assert_eq!(taken.records, [ptr(12), ptr(13)]);
+        assert!(bag.is_empty());
+        assert_eq!(bag.blocks.len(), 1);
+        assert!(std::ptr::eq(&*bag.blocks[0], head), "the head block stays in place");
     }
 
     #[test]

@@ -72,13 +72,6 @@ impl AnnounceSlots {
         set.extend(self.all().filter(|p| !p.is_null()).map(|p| p as usize));
     }
 
-    /// Every announced address, in a set sized for every slot.
-    pub fn collect(&self) -> HashSet<usize> {
-        let mut set = HashSet::with_capacity(self.capacity());
-        self.collect_into(&mut set);
-        set
-    }
-
     /// Number of slots over all threads (the most addresses a scan can find).
     pub fn capacity(&self) -> usize {
         self.lines.len() * self.per_thread

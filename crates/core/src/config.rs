@@ -11,7 +11,9 @@ pub struct DebraConfig {
     pub check_threshold: usize,
     /// Minimum number of `leave_qstate` calls before this thread attempts to increment the
     /// epoch (the paper's `INCR_THRESH`, 100 in the paper's experiments).  Prevents a
-    /// single-threaded execution from rotating bags on every operation.
+    /// single-threaded execution from rotating bags on every operation.  DEBRA counts the
+    /// announcement checks that found their peer ready (the paper's `checkNext`); DEBRA+
+    /// counts every check of the epoch, including those a laggard blocked.
     pub increment_threshold: usize,
     /// Number of record pointers per limbo bag block (the paper's `B`, 256).
     pub block_capacity: usize,
@@ -34,10 +36,11 @@ pub struct DebraPlusConfig {
     pub debra: DebraConfig,
     /// When this thread's current limbo bag holds at least this many **blocks** and another
     /// thread is blocking the epoch, the other thread is suspected of having crashed and is
-    /// neutralized (the paper's `SUSPECT_THRESHOLD_IN_BLOCKS`).
+    /// neutralized (the paper's `SUSPECT_THRESHOLD_IN_BLOCKS`).  A rotation hands the whole
+    /// bag over, so the count starts from one empty block at the start of each epoch.
     pub suspect_threshold_blocks: usize,
     /// A limbo bag is scanned against the restricted hazard pointers (and its unprotected
-    /// full blocks reclaimed) only when it holds at least this many blocks, giving expected
+    /// records reclaimed) only when it holds at least this many blocks, giving expected
     /// amortized O(1) work per reclaimed record.
     pub scan_threshold_blocks: usize,
     /// Number of restricted hazard pointer (`RProtect`) slots per thread, at most 16 (one

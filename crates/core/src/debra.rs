@@ -5,7 +5,7 @@ use std::ptr::NonNull;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use blockbag::{Block, BlockBag};
+use blockbag::{BlockBag, Taken};
 use crossbeam_utils::CachePadded;
 use neutralize::{AnnounceWord, NeutralizeSlot};
 
@@ -180,38 +180,36 @@ impl<T> LimboBags<T> {
         &mut self.bags[self.current]
     }
 
-    /// Rotates the limbo bags and reclaims the records retired two epochs ago
-    /// (the paper's `rotateAndReclaim`).  Returns the number of records handed to `sink`.
+    /// Rotates the limbo bags and hands every record retired two epochs ago to the sink
+    /// (the paper's `rotateAndReclaim`): full blocks whole, the head block's records one at
+    /// a time, so the bag starts the new epoch empty.  Returns the number of records
+    /// handed to `sink`.
     pub fn rotate_and_reclaim<S: ReclaimSink<T>>(&mut self, sink: &mut S) -> u64 {
-        hand_over(self.rotate().take_full_blocks(), sink)
+        self.rotate().hand_over(to_sink(sink)) as u64
     }
 
     /// DEBRA+'s variant of `rotateAndReclaim` (paper, Figure 6) for a non-empty set of
     /// restricted hazard pointers: records for which `keep` returns `true` stay in the
-    /// bag while whole blocks of unprotected records are moved to the sink.  With a `keep`
-    /// that is never `true` this hands over exactly the blocks
+    /// bag and every other record goes to the sink.  With a `keep` that is never `true`
+    /// this hands over exactly the blocks and records, in the same order,
     /// [`rotate_and_reclaim`](Self::rotate_and_reclaim) does.
     pub(crate) fn rotate_and_reclaim_filtered<S: ReclaimSink<T>>(
         &mut self,
         sink: &mut S,
         keep: impl FnMut(NonNull<T>) -> bool,
     ) -> u64 {
-        hand_over(self.rotate().partition_and_take_full_blocks(keep), sink)
+        self.rotate().partition_and_hand_over(keep, to_sink(sink)) as u64
     }
 }
 
-/// Moves whole blocks of reclaimable records to the sink; returns how many records moved.
-/// Every scheme that keeps its limbo in blocks hands them over through this.
-pub fn hand_over<T, S: ReclaimSink<T>>(
-    blocks: impl IntoIterator<Item = Box<Block<T>>>,
-    sink: &mut S,
-) -> u64 {
-    let mut reclaimed = 0u64;
-    for block in blocks {
-        reclaimed += block.len() as u64;
-        sink.accept_block(block);
+/// Passes what a [`BlockBag`] hands over on to `sink`: full blocks whole through
+/// [`ReclaimSink::accept_block`], single records through [`ReclaimSink::accept`].  Every
+/// scheme that keeps its limbo in blocks reclaims through this.
+pub fn to_sink<T, S: ReclaimSink<T>>(sink: &mut S) -> impl FnMut(Taken<T>) + '_ {
+    move |taken| match taken {
+        Taken::Block(block) => sink.accept_block(block),
+        Taken::Record(record) => sink.accept(record),
     }
-    reclaimed
 }
 
 /// Per-thread handle of [`Debra`].
@@ -227,13 +225,16 @@ pub struct DebraThread<T: Send + 'static> {
     check_next: usize,
     /// Number of `leave_qstate` calls since another thread's announcement was last checked.
     ops_since_check: usize,
+    /// Number of announcement checks made in the current epoch, including those a laggard
+    /// blocked (DEBRA+ advances on this count; see `leave_qstate_impl`).
+    checks: usize,
 }
 
 impl<T: Send + 'static> DebraThread<T> {
     pub(crate) fn new(global: Arc<Debra<T>>, tid: usize) -> Self {
         let limbo = LimboBags::new(global.config.block_capacity);
         let slot = global.slot_arc(tid);
-        DebraThread { global, slot, tid, limbo, check_next: 0, ops_since_check: 0 }
+        DebraThread { global, slot, tid, limbo, check_next: 0, ops_since_check: 0, checks: 0 }
     }
 
     /// The shared DEBRA instance this handle belongs to.
@@ -268,20 +269,29 @@ impl<T: Send + 'static> DebraThread<T> {
     /// bags and returns how many records it handed to the sink.
     ///
     /// `suspect` is called for a thread that is non-quiescent and has not announced the
-    /// current epoch; it returns `true` if the thread may nevertheless be treated as
-    /// quiescent (DEBRA+ neutralizes it; plain DEBRA always returns `false`).
+    /// current epoch, with the announcement word read from it; it returns `true` if the
+    /// thread may nevertheless be treated as quiescent (DEBRA+ neutralizes it; plain DEBRA
+    /// always returns `false`).
+    ///
+    /// Once every announcement has been seen, the epoch advances after
+    /// `increment_threshold` checks.  DEBRA counts only the checks that passed (the
+    /// paper's Figure 5: `checkNext`).  With `count_blocked_checks`, DEBRA+ also counts
+    /// those a laggard blocked, so a bag that grew while the epoch was held back is not
+    /// made to grow by another `increment_threshold` operations once the laggard is
+    /// seen; without a laggard both counts are the same.
     pub(crate) fn leave_qstate_impl<S, F, R>(
         &mut self,
         sink: &mut S,
+        count_blocked_checks: bool,
         mut rotate: R,
         mut suspect: F,
     ) -> bool
     where
         S: ReclaimSink<T>,
-        F: FnMut(&LimboBags<T>, usize) -> bool,
+        F: FnMut(&LimboBags<T>, usize, u64) -> bool,
         R: FnMut(&mut LimboBags<T>, &mut S) -> u64,
     {
-        let DebraThread { global, slot, tid, limbo, check_next, ops_since_check } = self;
+        let DebraThread { global, slot, tid, limbo, check_next, ops_since_check, checks } = self;
         let global: &Debra<T> = global;
         let tid = *tid;
         let stats = global.threads.stats(tid);
@@ -295,6 +305,7 @@ impl<T: Send + 'static> DebraThread<T> {
             // We are announcing a new epoch: everything retired two epochs ago is safe.
             *ops_since_check = 0;
             *check_next = 0;
+            *checks = 0;
             let reclaimed = rotate(limbo, sink);
             if reclaimed > 0 {
                 ThreadStatsSlot::bump(&stats.reclaimed, reclaimed);
@@ -307,6 +318,7 @@ impl<T: Send + 'static> DebraThread<T> {
         *ops_since_check += 1;
         if *ops_since_check >= config.check_threshold {
             *ops_since_check = 0;
+            *checks += 1;
             // Once `check_next` reaches `n`, every announcement has been seen equal to
             // `read_epoch` or quiescent since this thread announced it — all Figure 5's
             // argument needs, and it stays true until the epoch changes (a thread can only
@@ -317,12 +329,13 @@ impl<T: Send + 'static> DebraThread<T> {
                 let other_word = global.slots[other].load_announce(Ordering::SeqCst);
                 AnnounceWord::epoch_matches(read_epoch, other_word)
                     || AnnounceWord::is_quiescent(other_word)
-                    || suspect(limbo, other)
+                    || suspect(limbo, other, other_word)
             };
             if other_ok {
                 *check_next += 1;
                 let c = *check_next;
-                if c >= n && c >= config.increment_threshold {
+                let counted = if count_blocked_checks { *checks } else { c };
+                if c >= n && counted >= config.increment_threshold {
                     if global
                         .epoch
                         .compare_exchange(
@@ -379,7 +392,7 @@ impl<T: Send + 'static> ReclaimerThread<T> for DebraThread<T> {
     const READ_PROTECTION: ReadProtection = ReadProtection::Pin;
 
     fn leave_qstate<S: ReclaimSink<T>>(&mut self, sink: &mut S) -> bool {
-        self.leave_qstate_impl(sink, LimboBags::rotate_and_reclaim, |_, _| false)
+        self.leave_qstate_impl(sink, false, LimboBags::rotate_and_reclaim, |_, _, _| false)
     }
 
     fn enter_qstate(&mut self) {
@@ -471,6 +484,28 @@ mod tests {
         assert_eq!(stats.reclaimed + stats.pending, stats.retired);
 
         // Drain the rest on teardown so the test does not leak.
+        drop(t);
+        for r in debra.drain_orphans() {
+            unsafe { drop(Box::from_raw(r.as_ptr())) };
+        }
+    }
+
+    #[test]
+    fn a_lone_thread_keeps_at_most_three_records_in_limbo() {
+        // One retire per operation and an epoch per operation: each bag holds one record,
+        // and a rotation hands it over, not only once a block fills.
+        let config = DebraConfig { increment_threshold: 1, ..DebraConfig::default() };
+        let debra: Arc<Debra<u64>> = Arc::new(Debra::with_config(1, config));
+        let mut t = Debra::register(&debra, 0).unwrap();
+        let mut sink = FreeingSink { freed: 0 };
+        for i in 0..600u64 {
+            let _ = t.leave_qstate(&mut sink);
+            unsafe { t.retire(leak(i), &mut sink) };
+            t.enter_qstate();
+        }
+        let stats = debra.stats();
+        assert!(stats.pending <= 3, "pending {}", stats.pending);
+        assert_eq!(sink.freed as u64 + stats.pending, 600);
         drop(t);
         for r in debra.drain_orphans() {
             unsafe { drop(Box::from_raw(r.as_ptr())) };

@@ -25,7 +25,8 @@ use crate::traits::{ReadProtection, ReclaimSink, Reclaimer, ReclaimerThread, Reg
 ///   nor become quiescent, and `p`'s current limbo bag has grown beyond a threshold, `p`
 ///   **neutralizes** `q` by sending it an OS signal
 ///   ([`suspect_neutralized`](crate::DebraPlusConfig::suspect_threshold_blocks)).  From that
-///   moment `p` may treat `q` as quiescent, so a crashed or descheduled thread can delay
+///   moment until `q`'s announcement changes, `p` may treat `q` as quiescent without
+///   signalling it again, so a crashed or descheduled thread can delay
 ///   reclamation only briefly: at any time O(mn²) records are waiting to be freed, where
 ///   `m` is the largest number of records retired by one operation.
 /// * A neutralized thread runs *recovery code* while quiescent.  So that the recovery code
@@ -114,6 +115,7 @@ impl<T: Send + 'static> Reclaimer<T> for DebraPlus<T> {
             plus: Arc::clone(this),
             r_len: 0,
             protected: HashSet::with_capacity(this.rprotected.capacity()),
+            signalled: vec![NOT_SIGNALLED; this.base.max_threads()].into_boxed_slice(),
             _registration: registration,
         })
     }
@@ -150,6 +152,10 @@ impl<T> fmt::Debug for DebraPlus<T> {
     }
 }
 
+/// `signalled` entry of a thread not yet neutralized: the quiescent bit is set, and only
+/// non-quiescent words are compared with it, so it matches none.
+const NOT_SIGNALLED: u64 = u64::MAX;
+
 /// Per-thread handle of [`DebraPlus`].
 ///
 /// Must be created (via [`Reclaimer::register`]) on the thread that will use it, because
@@ -162,6 +168,12 @@ pub struct DebraPlusThread<T: Send + 'static> {
     /// Scratch for the R-protected set gathered at a rotation, sized at registration for
     /// every thread's slots so that gathering never allocates.
     protected: HashSet<usize>,
+    /// `signalled[q]`: the announcement word thread `q` had when this thread last
+    /// neutralized it.  While `q`'s word still reads the same, `q` has neither run the
+    /// handler nor started another operation (either one changes the word, and no thread
+    /// can announce an epoch the global epoch has passed), so the signal still holds it
+    /// and it counts as quiescent without another one.
+    signalled: Box<[u64]>,
     _registration: ThreadRegistration,
 }
 
@@ -193,7 +205,7 @@ impl<T: Send + 'static> ReclaimerThread<T> for DebraPlusThread<T> {
     const READ_PROTECTION: ReadProtection = ReadProtection::Pin;
 
     fn leave_qstate<S: ReclaimSink<T>>(&mut self, sink: &mut S) -> bool {
-        let DebraPlusThread { inner, plus, protected, .. } = self;
+        let DebraPlusThread { inner, plus, protected, signalled, .. } = self;
         let plus: &DebraPlus<T> = plus;
         let tid = inner.tid();
         // Starting a new operation (or retrying after recovery): any pending neutralization
@@ -205,6 +217,7 @@ impl<T: Send + 'static> ReclaimerThread<T> for DebraPlusThread<T> {
 
         inner.leave_qstate_impl(
             sink,
+            true,
             |limbo, sink| {
                 if limbo.oldest_bag_blocks() < scan_threshold {
                     // Nothing worth scanning: rotate without freeing (the records will be
@@ -215,9 +228,10 @@ impl<T: Send + 'static> ReclaimerThread<T> for DebraPlusThread<T> {
                 // Reclaim only records not protected by any restricted hazard pointer.
                 // With no such pointer announced (always, for structures that never
                 // `RProtect`) the filter keeps nothing, and partitioning the bag record by
-                // record would hand over exactly the full blocks DEBRA's O(1)-per-block
-                // rotation does — so take that path.  Gathering runs only once a bag has
-                // grown past the scan threshold: expected amortized O(1) per record.
+                // record would hand over exactly what DEBRA's rotation does, in the same
+                // order, at O(1) per full block — so take that path.  Gathering runs only
+                // once a bag has grown past the scan threshold: expected amortized O(1)
+                // per record.
                 plus.rprotected.collect_into(protected);
                 if protected.is_empty() {
                     limbo.rotate_and_reclaim(sink)
@@ -227,15 +241,21 @@ impl<T: Send + 'static> ReclaimerThread<T> for DebraPlusThread<T> {
                     })
                 }
             },
-            |limbo, other| {
-                // `other` is non-quiescent and has not announced the current epoch.  If our
-                // limbo bag is getting large, suspect it of having crashed and neutralize it
-                // (the paper's `suspectNeutralized`).
+            |limbo, other, word| {
+                // `other` is non-quiescent and has not announced the current epoch.  If it
+                // has not moved since we neutralized it, it still counts as quiescent: a
+                // thread descheduled across several epochs costs one suspicion, not one
+                // per epoch.  Otherwise, if our limbo bag is getting large, suspect it of
+                // having crashed and neutralize it (the paper's `suspectNeutralized`).
+                if signalled[other] == word {
+                    return true;
+                }
                 if limbo.current_bag_blocks() < suspect_threshold {
                     return false;
                 }
                 let sent = plus.driver.neutralize(plus.base.slot(other));
                 if sent {
+                    signalled[other] = word;
                     ThreadStatsSlot::bump(&plus.base.threads.stats(tid).signals_sent, 1);
                 }
                 sent
@@ -401,6 +421,102 @@ mod tests {
     }
 
     #[test]
+    fn a_neutralized_thread_that_has_not_moved_is_not_suspected_again() {
+        // A real signal reaches a descheduled thread only once it runs again; until then
+        // its announcement keeps the word it had when it was signalled.  The simulated
+        // driver runs the handler at once, so the test puts that word back.
+        let config = DebraPlusConfig { suspect_threshold_blocks: 2, ..tiny_config() };
+        let plus: Arc<DebraPlus<u64>> =
+            Arc::new(DebraPlus::with_config(2, config, SignalDriver::simulated()));
+        let mut a = DebraPlus::register(&plus, 0).unwrap();
+        let mut b = DebraPlus::register(&plus, 1).unwrap();
+        let mut sink = FreeingSink { freed: Vec::new() };
+        let mut b_sink = CountingSink::default();
+        let b_slot = plus.base.slot(1);
+        let op = |a: &mut DebraPlusThread<u64>, sink: &mut FreeingSink, i: u64| {
+            let _ = a.leave_qstate(sink);
+            unsafe { a.retire(leak(i), sink) };
+            a.enter_qstate();
+        };
+
+        let _ = b.leave_qstate(&mut b_sink);
+        let stalled_word = b_slot.load_announce(Ordering::SeqCst);
+        let mut i = 0u64;
+        while plus.stats().signals_sent == 0 {
+            op(&mut a, &mut sink, i);
+            i += 1;
+            assert!(i < 100, "B was never suspected");
+        }
+        b_slot.store_announce(stalled_word, Ordering::SeqCst);
+
+        // Many epochs go by: A frees as it goes and never needs to suspect B again.
+        let freed_before = sink.freed.len();
+        for _ in 0..200 {
+            op(&mut a, &mut sink, i);
+            i += 1;
+        }
+        assert_eq!(plus.stats().signals_sent, 1, "B was signalled again without moving");
+        assert!(sink.freed.len() >= freed_before + 150, "reclamation kept pace");
+        assert!(plus.stats().pending < 16, "pending {}", plus.stats().pending);
+
+        // Once B has recovered and stalls again, it is a new suspect.
+        b.begin_recovery();
+        let _ = b.leave_qstate(&mut b_sink);
+        while plus.stats().signals_sent == 1 {
+            op(&mut a, &mut sink, i);
+            i += 1;
+            assert!(i < 400, "B's new stall was never suspected");
+        }
+
+        drop(a);
+        drop(b);
+        drain_leaked(&plus);
+    }
+
+    #[test]
+    fn checks_a_laggard_blocked_count_toward_the_increment_threshold() {
+        // DEBRA's `epoch_advance_cadence_with_default_config` under DEBRA+: the same pins
+        // until the laggard finishes, and then one pin instead of DEBRA's 99, because the
+        // checks it blocked count.
+        let plus: Arc<DebraPlus<u64>> = Arc::new(DebraPlus::with_config(
+            2,
+            DebraPlusConfig::default(),
+            SignalDriver::simulated(),
+        ));
+        let mut a = DebraPlus::register(&plus, 0).unwrap();
+        let mut b = DebraPlus::register(&plus, 1).unwrap();
+        let mut sink = CountingSink::default();
+        let pins_until_epoch_moves = |t: &mut DebraPlusThread<u64>, sink: &mut CountingSink| {
+            let before = plus.base.current_epoch();
+            let mut pins = 0;
+            while plus.base.current_epoch() == before {
+                assert!(pins < 10_000, "the epoch never advanced");
+                let _ = t.leave_qstate(sink);
+                t.enter_qstate();
+                pins += 1;
+            }
+            pins
+        };
+
+        assert_eq!(pins_until_epoch_moves(&mut a, &mut sink), 100);
+        let _ = b.leave_qstate(&mut sink);
+        assert_eq!(pins_until_epoch_moves(&mut a, &mut sink), 100);
+        let stuck_at = plus.base.current_epoch();
+        for _ in 0..500 {
+            let _ = a.leave_qstate(&mut sink);
+            a.enter_qstate();
+        }
+        assert_eq!(plus.base.current_epoch(), stuck_at, "B on the old epoch blocks the advance");
+        assert_eq!(plus.stats().signals_sent, 0, "nothing was retired, so B is not suspected");
+        b.enter_qstate();
+        assert_eq!(pins_until_epoch_moves(&mut a, &mut sink), 1);
+
+        drop(a);
+        drop(b);
+        drain_leaked(&plus);
+    }
+
+    #[test]
     fn bounded_garbage_under_stalled_thread() {
         // The paper's bound: with neutralization, the number of records waiting to be freed
         // stays bounded (O(c + nm) per thread) even though one thread never finishes its
@@ -430,6 +546,30 @@ mod tests {
 
         drop(a);
         drop(b);
+        drain_leaked(&plus);
+    }
+
+    #[test]
+    fn a_lone_thread_keeps_at_most_three_records_in_limbo() {
+        // As for DEBRA, with DEBRA+'s own thresholds at their defaults: every rotation
+        // scans, finds nothing R-protected and hands the whole bag over.
+        let config = DebraPlusConfig {
+            debra: DebraConfig { increment_threshold: 1, ..DebraConfig::default() },
+            ..DebraPlusConfig::default()
+        };
+        let plus: Arc<DebraPlus<u64>> =
+            Arc::new(DebraPlus::with_config(1, config, SignalDriver::simulated()));
+        let mut t = DebraPlus::register(&plus, 0).unwrap();
+        let mut sink = FreeingSink { freed: Vec::new() };
+        for i in 0..600u64 {
+            let _ = t.leave_qstate(&mut sink);
+            unsafe { t.retire(leak(i), &mut sink) };
+            t.enter_qstate();
+        }
+        let stats = plus.stats();
+        assert!(stats.pending <= 3, "pending {}", stats.pending);
+        assert_eq!(sink.freed.len() as u64 + stats.pending, 600);
+        drop(t);
         drain_leaked(&plus);
     }
 

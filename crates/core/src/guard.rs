@@ -304,7 +304,10 @@ where
     ///
     /// Hold the handle for the duration of a thread's involvement with the structure:
     /// pinning through a handle is a few nanoseconds, while a bare [`Domain::pin`] after
-    /// the thread's last handle/guard was dropped has to re-register a slot.
+    /// the thread's last handle/guard was dropped has to re-register a slot.  Under
+    /// classic EBR, though, a registered handle that sits idle holds back reclamation for
+    /// every thread (the thread's announcement stays in place until it pins again or
+    /// drops its last handle), so drop a handle a thread will not use for a while.
     ///
     /// # Errors
     ///
@@ -315,6 +318,7 @@ where
     }
 
     /// Leases a per-thread handle; panics when the domain's thread capacity is exhausted.
+    /// See [`Domain::try_handle`], including why an idle handle stalls classic EBR.
     pub fn handle(&self) -> DomainHandle<T, R, P, A> {
         self.try_handle().expect("domain thread capacity exhausted")
     }

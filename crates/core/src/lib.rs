@@ -79,7 +79,7 @@ pub mod traits;
 pub use crate::announce::AnnounceSlots;
 pub use crate::atomic::{Atomic, Owned, Pinned, Shared};
 pub use crate::config::{DebraConfig, DebraPlusConfig};
-pub use crate::debra::{hand_over, Debra, DebraThread, LimboBags};
+pub use crate::debra::{to_sink, Debra, DebraThread, LimboBags};
 pub use crate::debra_plus::{DebraPlus, DebraPlusThread};
 pub use crate::guard::{
     Domain, DomainHandle, Guard, Protected, Recovery, Restart, Shield, ShieldSet,

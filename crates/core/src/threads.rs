@@ -12,8 +12,8 @@
 //! A scheme writes only what makes it different: its announcement (an epoch word, an
 //! interval, or per-record slots in the shared [`AnnounceSlots`](crate::AnnounceSlots)),
 //! its limbo (the epoch schemes share [`LimboBags`](crate::LimboBags)), its own counters
-//! in its stats slot, and its scan, which moves whole blocks to the sink through
-//! [`hand_over`](crate::hand_over).
+//! in its stats slot, and its scan, which hands every record it proves free to the sink
+//! through [`to_sink`](crate::to_sink).
 
 use std::ptr::NonNull;
 use std::sync::atomic::{AtomicBool, Ordering};

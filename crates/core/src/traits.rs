@@ -126,8 +126,7 @@ pub trait ReclaimSink<T> {
     // The box is the point: the whole allocation changes owner (see `BlockBag`).
     #[allow(clippy::boxed_local)]
     fn accept_block(&mut self, mut block: Box<Block<T>>) {
-        let records: Vec<NonNull<T>> = block.drain().collect();
-        for r in records {
+        for r in block.drain() {
             self.accept(r);
         }
     }

@@ -242,8 +242,10 @@ where
                     };
                     let next = curr_ref.next[level].load(Ordering::Acquire, guard);
                     if next.tag() == MARK {
-                        // Unlink the marked node at this level.
+                        // Unlink the marked node at this level.  The CAS writes into
+                        // `pred`, so a validating scheme re-checks its snapshot first.
                         let unlink_to = next.with_tag(0);
+                        guard.check()?;
                         match link.compare_exchange(
                             curr,
                             unlink_to,
@@ -339,6 +341,10 @@ where
                     // traversal of this level would spin on forever.
                     continue 'levels;
                 }
+                // Other threads build on both link CASes below at once, so each is
+                // preceded by a checkpoint (DESIGN §10): a validating scheme vouches for
+                // `find`'s reads only up to its last check.
+                guard.check()?;
                 if expected != r2.succs[level]
                     && node_ref.next[level]
                         .compare_exchange(
@@ -352,7 +358,9 @@ where
                 {
                     continue;
                 }
-                if r2.preds[level].as_ref().expect("preds are non-null").next[level]
+                guard.check()?;
+                let pred_link = &r2.preds[level].as_ref().expect("preds are non-null").next[level];
+                if pred_link
                     .compare_exchange(
                         r2.succs[level],
                         node,
@@ -362,6 +370,30 @@ where
                     )
                     .is_ok()
                 {
+                    let now = node_ref.next[level].load(Ordering::Acquire, guard);
+                    if now.tag() == MARK {
+                        // A remove marked this level after our `find`, so its own
+                        // unlinking pass may already be past it, and the level-0 unlink
+                        // may already have retired the node: take the link back at once.
+                        // Under VBR a retired node still linked here is recycled two
+                        // clock ticks later and every traversal of this level follows
+                        // the new incarnation's links.  If the undo loses a race, the
+                        // link changed under us: one search for the key unlinks the node
+                        // wherever it is still reachable.
+                        if pred_link
+                            .compare_exchange(
+                                node,
+                                now.with_tag(0),
+                                Ordering::AcqRel,
+                                Ordering::Acquire,
+                                guard,
+                            )
+                            .is_err()
+                        {
+                            let _ = self.find(guard, set, key, None)?;
+                        }
+                        break 'levels;
+                    }
                     break;
                 }
             }

@@ -17,8 +17,8 @@
 //!   and each [`check`](ReclaimerThread::check) / [`protect`](ReclaimerThread::protect)
 //!   checkpoint extends `upper` to the era observed there.
 //! * A retired record is handed to the [`ReclaimSink`] only when its lifetime interval is
-//!   **disjoint from every active reservation** — the 2GEIBR test — and then in whole
-//!   blocks, so records move to the pool in O(1) per block, exactly like DEBRA's rotation.
+//!   **disjoint from every active reservation** — the 2GEIBR test — and then at once:
+//!   full blocks whole and the rest one record at a time, exactly like DEBRA's rotation.
 //!
 //! The decisive property over plain EBR/DEBRA: a **stalled thread only pins records whose
 //! lifetime overlaps its reservation**.  Records born after the straggler's reservation
@@ -59,8 +59,8 @@
 //! * **held** — survivors of a scan, filed under the reservation that pinned them:
 //!   group `u` holds records whose interval overlapped thread `u`'s reservation while its
 //!   lower bound was the group's `lower`;
-//! * **ready** — records a scan found disjoint from every reservation.  Freeing them at
-//!   once would have been safe, so holding them until a block fills is too.
+//! * **ready** — records a scan found disjoint from every reservation, gathered into
+//!   blocks; the scan hands all of them to the sink before it returns.
 //!
 //! Every [`IbrConfig::scan_freq`] retires, a scan snapshots the reservations into a
 //! buffer the thread allocated at registration, tests the limbo records, and re-tests a
@@ -107,7 +107,7 @@ use std::sync::Arc;
 use blockbag::BlockBag;
 use crossbeam_utils::CachePadded;
 use debra::{
-    hand_over, header_of, CodeModifications, ReclaimSink, Reclaimer, ReclaimerThread,
+    header_of, to_sink, CodeModifications, ReclaimSink, Reclaimer, ReclaimerThread,
     RegistrationError, SchemeProperties, Termination, ThreadStatsSlot, ThreadTable,
     TimingAssumptions,
 };
@@ -330,7 +330,7 @@ pub struct IbrThread<T: Send + 'static> {
     tid: usize,
     /// Records retired since the last scan.
     limbo: BlockBag<T>,
-    /// Records a scan found free, waiting to fill a block for the sink.
+    /// Records a scan found free, gathered into blocks for the sink (empty between scans).
     ready: BlockBag<T>,
     /// `held[u]`: records pinned by thread `u`'s reservation (see the module docs).
     held: Box<[Held<T>]>,
@@ -386,8 +386,7 @@ impl<T: Send + 'static> IbrThread<T> {
     }
 
     /// The 2GEIBR scan over the records retired since the last scan and the held groups
-    /// whose reservation moved (see the module docs); hands full blocks of free records
-    /// to `sink`.
+    /// whose reservation moved (see the module docs); hands every free record to `sink`.
     fn scan<S: ReclaimSink<T>>(&mut self, sink: &mut S) {
         self.global.snapshot_reservations(&mut self.pins);
         // A held group stays filed while its reservation is open at the same lower
@@ -431,7 +430,7 @@ impl<T: Send + 'static> IbrThread<T> {
         }
 
         let stats = self.global.threads.stats(self.tid);
-        let reclaimed = hand_over(self.ready.take_full_blocks(), sink);
+        let reclaimed = self.ready.hand_over(to_sink(sink)) as u64;
         if reclaimed > 0 {
             ThreadStatsSlot::bump(&stats.reclaimed, reclaimed);
         }
@@ -648,6 +647,30 @@ mod tests {
         assert!(stats.reclaimed > 0);
         assert!(stats.epochs_advanced > 0);
         assert_eq!(stats.reclaimed + stats.pending, stats.retired);
+        drop(t);
+        drain_orphans(&ibr);
+    }
+
+    #[test]
+    fn a_scan_hands_over_every_record_it_proves_free() {
+        // Default config: a scan runs every 64 retires, a quarter of a block, so what it
+        // proves free never fills a block; all of it must reach the sink at once.
+        let ibr: Arc<Ibr<u64>> = Arc::new(Ibr::new(1));
+        let mut t = Ibr::register(&ibr, 0).unwrap();
+        let mut sink = FreeingSink { freed: Vec::new() };
+        let scan_freq = ibr.config.scan_freq as u64;
+        for i in 0..scan_freq {
+            let _ = t.leave_qstate(&mut sink);
+            alloc_and_retire(&mut t, i, &mut sink);
+            t.enter_qstate();
+        }
+        // The last retire ran the scan; the records still pinned by this thread's own
+        // reservation are the only ones it kept.
+        let freed = sink.freed.len();
+        assert!(freed > 0 && freed < ibr.config.block_capacity, "freed {freed}");
+        assert_eq!(t.ready.len(), 0, "no free record waits for a block to fill");
+        assert_eq!((t.limbo.len(), freed + t.held_len), (0, scan_freq as usize));
+        assert_eq!(ibr.stats().reclaimed, freed as u64);
         drop(t);
         drain_orphans(&ibr);
     }

@@ -341,7 +341,7 @@ fn run_map<S: Scheme, T: Send + 'static, M: ConcurrentMap<u64, u64>>(
     cfg: &WorkloadConfig,
     seed: u64,
 ) -> TrialResult {
-    // +1 slot for the calling thread (the prefill, then the harness's shutdown nudge).
+    // +1 slot for the calling thread, which runs the prefill.
     let manager = Arc::new(Manager::<S, T>::new(cfg.threads + 1));
     let map = make(Arc::clone(&manager));
     run_trial(

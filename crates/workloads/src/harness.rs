@@ -142,14 +142,13 @@ fn run_trial_erased<'m>(
     let start_gate = AtomicBool::new(false);
 
     let timed = std::thread::scope(|scope| {
-        let mut workers = Vec::with_capacity(cfg.threads);
         for tid in 0..cfg.threads {
             let stop = &stop;
             let started = &started;
             let total_ops = &total_ops;
             let start_gate = &start_gate;
             let cfg = *cfg;
-            workers.push(scope.spawn(move || {
+            scope.spawn(move || {
                 let mut handle = factory(tid);
                 let mut gen = OperationGenerator::new(&cfg, tid, seed);
                 started.fetch_add(1, Ordering::SeqCst);
@@ -175,7 +174,7 @@ fn run_trial_erased<'m>(
                     ops += 1;
                 }
                 total_ops.fetch_add(ops, Ordering::SeqCst);
-            }));
+            });
         }
 
         // Wait for all workers to have registered, then time the run.
@@ -186,23 +185,7 @@ fn run_trial_erased<'m>(
         start_gate.store(true, Ordering::Release);
         std::thread::sleep(Duration::from_millis(cfg.duration_ms));
         stop.store(true, Ordering::SeqCst);
-        let elapsed = begin.elapsed();
-        // Keep retiring from this thread until every worker has left its loop.  VBR moves
-        // its clock only on retires, and a VBR reader refused by `protect` one tick past
-        // its snapshot spins inside its operation until the clock moves again
-        // (`benchmark/README.md`, "Known livelock"); once the other workers have stopped,
-        // nothing else would move it.  These operations are not counted.
-        let running = || workers.iter().any(|w| !w.is_finished());
-        if running() {
-            let mut handle = factory(cfg.threads);
-            let mut gen = OperationGenerator::new(cfg, cfg.threads, seed ^ 0x5EED);
-            while running() {
-                let key = gen.next_uniform_key();
-                handle.insert(key, key);
-                handle.remove(key);
-            }
-        }
-        elapsed
+        begin.elapsed()
         // scope joins all workers here
     });
 

@@ -14,8 +14,8 @@
 //!   the allowlist.
 //! * **hot-path-refcount** — no `Arc::clone(` (or `.clone()` on an `Arc` field) inside the
 //!   per-operation functions of hot-path crates (`leave_qstate*`, `enter_qstate*`,
-//!   `retire*`, `protect*`, `record_allocated`, `check`): a refcount bump there is a
-//!   lock-prefixed write to a line every thread shares.
+//!   `retire*`, `protect*`, `record_allocated`, `rotate*`, `check`): a refcount bump
+//!   there is a lock-prefixed write to a line every thread shares.
 //! * **hot-path-lock** — no `.lock()` inside those same functions: a thread preempted
 //!   while holding the lock blocks every other thread's operation, which is not
 //!   lock-free.  The allowlist cannot waive this rule.
@@ -58,8 +58,9 @@ const HOT_PATH_CRATES: &[&str] = &[
 
 /// Name prefixes of the functions every operation runs: once per pin, per allocated,
 /// accessed or retired record (`check` is matched whole, see [`is_per_operation_fn`]).
+/// `rotate` covers `LimboBags::rotate*`, which `leave_qstate` runs at every new epoch.
 const PER_OPERATION_FN_PREFIXES: &[&str] =
-    &["leave_qstate", "enter_qstate", "retire", "protect", "record_allocated"];
+    &["leave_qstate", "enter_qstate", "retire", "protect", "record_allocated", "rotate"];
 
 /// Rules whose findings no allowlist entry suppresses.
 const UNWAIVABLE_RULES: &[&str] = &["hot-path-lock"];
@@ -847,6 +848,27 @@ mod tests {
                    }";
         let lines: Vec<usize> = lock_findings("x.rs", src).iter().map(|f| f.line).collect();
         assert_eq!(lines, [2, 3, 4]);
+    }
+
+    #[test]
+    fn hot_path_rules_cover_the_limbo_rotation() {
+        let src = "impl<T> LimboBags<T> {\n\
+                   fn rotate(&mut self) { let _ = Arc::clone(&self.g); }\n\
+                   fn rotate_and_reclaim(&mut self) { self.m.lock(); }\n\
+                   fn drain(&mut self) { self.m.lock(); let _ = Arc::clone(&self.g); }\n\
+                   }";
+        let refcount: Vec<usize> = refcount_findings("x.rs", src).iter().map(|f| f.line).collect();
+        assert_eq!(refcount, [2]);
+        let lock: Vec<usize> = lock_findings("x.rs", src).iter().map(|f| f.line).collect();
+        assert_eq!(lock, [3]);
+
+        // The shipped rotation is clean under both rules.
+        let path = "crates/core/src/debra.rs";
+        let file = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..").join(path);
+        let shipped = std::fs::read_to_string(file).expect("the linter runs inside the workspace");
+        assert!(shipped.contains("fn rotate_and_reclaim"));
+        assert!(refcount_findings(path, &shipped).is_empty());
+        assert!(lock_findings(path, &shipped).is_empty());
     }
 
     #[test]
